@@ -1,5 +1,5 @@
 //! Measures the network serve path: full client-driver roundtrips over
-//! loopback (frame encode → socket → shard checkout → apply → ack),
+//! loopback (frame encode → socket → shard owner → apply → ack),
 //! against the in-process serve mode as the no-socket baseline. The gap
 //! between the two is the wire tax per operation.
 

@@ -18,11 +18,11 @@
 //! Draining`: a fresh connection is in `Hello` until it binds a session
 //! (admin requests are legal there too), `Ready` accepts the next
 //! request, `AwaitShard` means a decoded turn is queued on a shard
-//! executor — frame *decoding pauses* until the completion comes back,
+//! owner — frame *decoding pauses* until the completion comes back,
 //! which is what keeps the credit-window arithmetic identical to the
 //! blocking server's strict request/response ordering — and `Draining`
 //! flushes buffered responses before closing. In code, `Hello` and
-//! `Ready` share [`ConnPhase::Ready`] (an unbound session is
+//! `Ready` share `ConnPhase::Ready` (an unbound session is
 //! `session == None`) and `Draining` is the `close_after_flush` flag, so
 //! the enum cannot represent a bound-but-also-unbound contradiction.
 //!
@@ -118,7 +118,7 @@ pub(crate) enum ConnPhase {
     /// Accepting the next request (pre-Hello when `session` is unbound).
     Ready,
     /// A decoded turn (or collect fan-out) is queued on the shard
-    /// executors; frame decoding is paused until its completion returns.
+    /// owners; frame decoding is paused until its completion returns.
     AwaitShard,
 }
 
@@ -143,7 +143,7 @@ pub(crate) struct Connection {
     pub(crate) window: u64,
     pub(crate) in_flight: u64,
     /// The session's creation-index map; `None` exactly while a turn is
-    /// checked out to a shard executor (the job owns it).
+    /// queued on a shard owner (the job owns it).
     pub(crate) objects: Option<SessionObjects>,
     pub(crate) counters: ClientCounters,
     pub(crate) last_activity: Instant,

@@ -1,8 +1,7 @@
 //! Network serve front-end for the odbgc engine.
 //!
 //! A socket layer that multiplexes client connections onto the engine's
-//! sharded serve substrate ([`odbgc_engine::ShardSet`]) over a fixed
-//! thread pool:
+//! shards ([`odbgc_engine::Shard`]) over a fixed thread pool:
 //!
 //! * [`proto`] — the framed wire protocol: `[len][body][crc32]` frames
 //!   (OTBF's length-prefix + CRC conventions), varint-encoded session
@@ -19,8 +18,8 @@
 //!   `Hello → Ready ⇄ AwaitShard → Draining` protocol phase machine.
 //! * [`server`] — [`NetServer`]: a readiness-driven event loop. A fixed
 //!   pool of net threads ([`NetConfig::net_threads`]) polls thousands of
-//!   non-blocking connections; decoded turns run on one executor thread
-//!   per shard through the engine's checkout handshake. Credit-based
+//!   non-blocking connections; decoded turns run on each shard's one
+//!   owner thread, which collects between turns. Credit-based
 //!   per-client windows with explicit `Busy` backpressure,
 //!   idle-connection reaping, and graceful drain that loses zero
 //!   acknowledged operations all carry over from the blocking server

@@ -421,8 +421,8 @@ pub enum ErrorCode {
     Protocol,
     /// The store rejected an operation in the turn.
     Op,
-    /// The session's shard has failed (GC worker panic, poisoned lock);
-    /// the connection can no longer apply turns.
+    /// The session's shard has stopped serving (a panic in one of its
+    /// collections or turns); the connection can no longer apply turns.
     ShardFailed,
     /// The server is draining; no new turns are accepted.
     Draining,
@@ -467,7 +467,7 @@ pub struct ShardStats {
     pub shard: u32,
     /// Collections the shard has completed.
     pub collections: u64,
-    /// The shard's failure notice, if its GC worker died.
+    /// The shard's failure notice, if it has stopped serving.
     pub failed: Option<String>,
 }
 
@@ -574,7 +574,7 @@ pub enum Response {
     StatsOk(StatsSnapshot),
     /// Due collections kicked.
     CollectOk {
-        /// Shards on which a collection was handed to the GC worker.
+        /// Shards on which a collection was due and ran.
         kicked: u64,
     },
     /// Drain begun.

@@ -1,5 +1,5 @@
 //! The serve front-end: a readiness-driven event loop multiplexing
-//! client connections onto a [`ShardSet`] over a fixed thread pool.
+//! client connections onto engine [`Shard`]s over a fixed thread pool.
 //!
 //! Threading is fixed at bind time and independent of connection count:
 //!
@@ -9,20 +9,23 @@
 //!   accepting is readiness-driven too — an idle server sleeps in
 //!   `poll` indefinitely instead of tick-polling `accept`. Accepted
 //!   connections are dealt round-robin across the loops.
-//! * **Shard executor threads** (one per shard) apply decoded turns
-//!   through the existing per-shard mutex/condvar handshake
-//!   ([`ShardSet::checkout`] → [`apply_ops`] → `finish`), so a turn
-//!   stalled behind a collection blocks only its shard's executor,
-//!   never a loop thread. Completions return to the owning loop through
-//!   a queue plus a self-wake descriptor registered in its poll set.
-//! * The shard set's own **GC worker threads** are unchanged.
+//! * **Shard owner threads** (one per shard) each own their [`Shard`]
+//!   outright and run its jobs in arrival order: a turn is applied
+//!   ([`Shard::apply`] → [`apply_ops`]), its completion is posted, and
+//!   then any due collection is drained ([`Shard::collect`]) before the
+//!   next job starts. A collection therefore delays only the jobs queued
+//!   behind it, never a loop thread. Completions return to the owning
+//!   loop through a queue plus a self-wake descriptor registered in its
+//!   poll set. Owners publish each shard's collection count and failure
+//!   notice through an atomic and a write-once cell, which is all
+//!   `Stats` reads.
 //!
 //! The lifecycle guarantees of the blocking server carry over exactly —
 //! the `serve_net` acceptance tests run unmodified:
 //!
 //! * **Backpressure is explicit and deterministic.** A connection's
 //!   frames are decoded strictly in order, and decoding *pauses* while
-//!   a turn is checked out to a shard executor, so the credit-window
+//!   a turn is queued on a shard owner, so the credit-window
 //!   arithmetic sees the same frame sequence the client sent — whether
 //!   a turn gets `Busy` depends only on that sequence, never on loop
 //!   scheduling.
@@ -35,22 +38,21 @@
 //!   flushed, and every acknowledged operation is in the shard results
 //!   when [`NetServer::run`] returns.
 //!
-//! Per-loop counters (wakeups, frames, partial reads/writes, executor
+//! Per-loop counters (wakeups, frames, partial reads/writes, shard
 //! queue depth) are reported in [`NetOutcome::loops`] and published by
 //! the CLI under the volatile `net_loops` telemetry key.
 
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read};
 use std::net::{TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use odbgc_core::RatePolicy;
 use odbgc_engine::{
-    apply_ops, EngineConfig, GcFault, ServeError, SessionId, SessionObjects, SessionOp, ShardEvent,
-    ShardHook, ShardOutcome, ShardSet, TurnApplied, TurnError,
+    apply_ops, EngineConfig, GcFault, SessionId, SessionObjects, SessionOp, Shard, ShardOutcome,
+    TurnApplied, TurnError,
 };
 
 use crate::conn::{ConnPhase, Connection};
@@ -79,7 +81,7 @@ pub struct NetConfig {
     /// Net loop threads. `0` means `min(4, available cores)`. Thread
     /// count is fixed at bind and independent of connection count.
     pub net_threads: usize,
-    /// Optional kill-one-GC-worker fault injection (robustness tests).
+    /// Optional kill-one-shard fault injection (robustness tests).
     pub gc_fault: Option<GcFault>,
 }
 
@@ -117,9 +119,9 @@ pub struct LoopStats {
     pub partial_reads: u64,
     /// Flushes that could not drain the whole write buffer.
     pub partial_writes: u64,
-    /// Shard-executor completions applied.
+    /// Shard-owner completions applied.
     pub completions: u64,
-    /// Deepest shard-executor queue observed when enqueuing a job.
+    /// Deepest shard-owner queue observed when enqueuing a job.
     pub max_queue_depth: u64,
 }
 
@@ -137,26 +139,13 @@ pub struct NetOutcome {
     pub loops: Vec<LoopStats>,
 }
 
-/// Lock-free shard progress for the `Stats` fast path, fed by the
-/// engine's [`ShardEvent`] hook so serving a stats request never touches
-/// a shard mutex (which a collection may hold for a while).
-#[derive(Default)]
-struct ShardCache {
-    collections: AtomicU64,
-    failed: Mutex<Option<String>>,
-}
-
 struct Shared {
-    // Executors hold `read` per turn; `run` takes the set out under
-    // `write` after every executor has been joined.
-    set: RwLock<Option<ShardSet>>,
     shard_count: u32,
     window_max: u32,
     idle_timeout: Duration,
     poll_interval: Duration,
     draining: AtomicBool,
     clients: Mutex<Vec<ClientCounters>>,
-    shard_cache: Arc<Vec<ShardCache>>,
 }
 
 fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
@@ -164,11 +153,11 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
 }
 
 // ---------------------------------------------------------------------
-// Loop ↔ executor plumbing
+// Loop ↔ shard owner plumbing
 // ---------------------------------------------------------------------
 
 /// One net loop's cross-thread mailboxes: freshly accepted streams from
-/// the acceptor, completions from shard executors, and the wake
+/// the acceptor, completions from shard owners, and the wake
 /// descriptor that makes either poll-visible.
 struct LoopShared {
     wake: WakePipe,
@@ -176,15 +165,23 @@ struct LoopShared {
     completions: Mutex<Vec<Completion>>,
 }
 
-/// A shard executor's job queue.
+/// A shard owner's mailbox and what it publishes: the job queue loops
+/// push onto, and the shard's progress, which `Stats` reads without
+/// involving the owner.
+#[derive(Default)]
 struct ShardExec {
     state: Mutex<ExecState>,
     cv: Condvar,
+    /// Collections the shard has completed.
+    collections: AtomicU64,
+    /// The shard's failure notice, set once when it stops serving.
+    failed: OnceLock<String>,
 }
 
 #[derive(Default)]
 struct ExecState {
-    jobs: VecDeque<Job>,
+    /// Jobs in arrival order, each stamped when it was enqueued.
+    jobs: VecDeque<(Instant, Job)>,
     stop: bool,
 }
 
@@ -202,8 +199,8 @@ enum Job {
     Collect { fan: Arc<CollectFan> },
 }
 
-/// Join-counter for a `Collect` fanned across every shard executor; the
-/// executor that finishes last posts the single completion.
+/// Join-counter for a `Collect` fanned across every shard owner; the
+/// owner that finishes last posts the single completion.
 struct CollectFan {
     loop_id: usize,
     conn: usize,
@@ -226,18 +223,16 @@ enum Completion {
 enum TurnFail {
     /// The turn itself failed (store rejection or unknown ref).
     Turn(TurnError),
-    /// The shard can no longer serve (GC worker death, poisoned lock,
-    /// executor panic).
+    /// The shard has stopped serving (a panic in a turn or collection).
     Shard(String),
-    /// The shard set is already torn down (unreachable while executors
-    /// run; kept typed rather than panicking).
-    Gone,
 }
 
+/// Queues `job` on a shard owner, stamped under the queue lock so stamps
+/// rise in queue order. Returns the queue depth after the push.
 fn enqueue(exec: &ShardExec, job: Job) -> usize {
     let depth = {
         let mut st = lock(&exec.state);
-        st.jobs.push_back(job);
+        st.jobs.push_back((Instant::now(), job));
         st.jobs.len()
     };
     exec.cv.notify_one();
@@ -259,46 +254,24 @@ pub struct NetServer {
     shared: Arc<Shared>,
     loops: Arc<Vec<LoopShared>>,
     execs: Arc<Vec<ShardExec>>,
+    shards: Vec<Shard>,
     net_threads: usize,
 }
 
 impl NetServer {
-    /// Builds the shard set, resolves the loop-thread count, and binds
+    /// Builds the shards, resolves the loop-thread count, and binds
     /// the listener. `addr` is anything `TcpListener::bind` accepts;
     /// `"127.0.0.1:0"` picks a free port (read it back with
     /// [`NetServer::local_addr`]).
     pub fn bind(
         addr: &str,
         config: NetConfig,
-        make_policy: impl FnMut(u32) -> Box<dyn RatePolicy + Send>,
+        mut make_policy: impl FnMut(u32) -> Box<dyn RatePolicy + Send>,
     ) -> Result<NetServer, BindError> {
         let shard_count = config.shards.max(1);
-        let shard_cache: Arc<Vec<ShardCache>> =
-            Arc::new((0..shard_count).map(|_| ShardCache::default()).collect());
-        let hook: ShardHook = {
-            let cache = Arc::clone(&shard_cache);
-            Arc::new(move |ev| match ev {
-                ShardEvent::Collected { shard, collections } => {
-                    cache[*shard]
-                        .collections
-                        .store(*collections, Ordering::SeqCst);
-                }
-                ShardEvent::Failed { shard, message } => {
-                    let mut failed = lock(&cache[*shard].failed);
-                    if failed.is_none() {
-                        *failed = Some(message.clone());
-                    }
-                }
-            })
-        };
-        let set = ShardSet::with_hook(
-            &config.engine,
-            shard_count as usize,
-            make_policy,
-            config.gc_fault,
-            Some(hook),
-        )
-        .map_err(BindError::Shards)?;
+        let shards: Vec<Shard> = (0..shard_count)
+            .map(|i| Shard::new(i as usize, &config.engine, make_policy(i), config.gc_fault))
+            .collect();
         let net_threads = if config.net_threads == 0 {
             std::thread::available_parallelism()
                 .map(|n| n.get())
@@ -316,28 +289,22 @@ impl NetServer {
                 })
             })
             .collect::<Result<_, BindError>>()?;
-        let execs: Vec<ShardExec> = (0..shard_count)
-            .map(|_| ShardExec {
-                state: Mutex::new(ExecState::default()),
-                cv: Condvar::new(),
-            })
-            .collect();
+        let execs: Vec<ShardExec> = (0..shard_count).map(|_| ShardExec::default()).collect();
         let listener = TcpListener::bind(addr).map_err(BindError::Io)?;
         listener.set_nonblocking(true).map_err(BindError::Io)?;
         Ok(NetServer {
             listener,
             shared: Arc::new(Shared {
-                set: RwLock::new(Some(set)),
                 shard_count,
                 window_max: config.window_max.max(1),
                 idle_timeout: config.idle_timeout,
                 poll_interval: config.poll_interval.max(Duration::from_millis(1)),
                 draining: AtomicBool::new(false),
                 clients: Mutex::new(Vec::new()),
-                shard_cache,
             }),
             loops: Arc::new(loops),
             execs: Arc::new(execs),
+            shards,
             net_threads,
         })
     }
@@ -348,28 +315,31 @@ impl NetServer {
     }
 
     /// Serves until a client requests a graceful drain, then joins the
-    /// loop and executor threads, shuts the shards down, and returns the
-    /// outcome.
+    /// loop and shard owner threads and returns the outcome.
     pub fn run(self) -> NetOutcome {
         let NetServer {
             listener,
             shared,
             loops,
             execs,
+            shards,
             net_threads,
         } = self;
 
-        let mut exec_handles = Vec::with_capacity(execs.len());
-        for shard in 0..shared.shard_count as usize {
-            let shared = Arc::clone(&shared);
-            let loops = Arc::clone(&loops);
-            let execs = Arc::clone(&execs);
-            let handle = std::thread::Builder::new()
-                .name(format!("odbgc-net-shard-{shard}"))
-                .spawn(move || shard_executor(shard, &shared, &execs[shard], &loops))
-                .expect("spawn shard executor");
-            exec_handles.push(handle);
-        }
+        let owners: Vec<_> = shards
+            .into_iter()
+            .map(|shard| {
+                let loops = Arc::clone(&loops);
+                let execs = Arc::clone(&execs);
+                std::thread::Builder::new()
+                    .name(format!("odbgc-net-shard-{}", shard.index()))
+                    .spawn(move || {
+                        let exec = &execs[shard.index()];
+                        shard_owner(shard, exec, &loops)
+                    })
+                    .expect("spawn shard owner")
+            })
+            .collect();
 
         let mut listener = Some(listener);
         let mut loop_handles = Vec::with_capacity(net_threads);
@@ -405,24 +375,19 @@ impl NetServer {
             .collect();
 
         // Every loop has exited, so no job can still be enqueued; tell
-        // the executors to stop once their queues run dry and join them.
+        // the owners to stop once their queues run dry and join them.
         for exec in execs.iter() {
             lock(&exec.state).stop = true;
             exec.cv.notify_all();
         }
-        for h in exec_handles {
-            let _ = h.join();
-        }
-
-        let set = shared
-            .set
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .take();
-        let shards = match set {
-            Some(set) => set.shutdown(),
-            None => Vec::new(),
-        };
+        let shards = owners
+            .into_iter()
+            .map(|h| {
+                h.join()
+                    .expect("a shard owner catches its shard's panics")
+                    .into_outcome(Vec::new())
+            })
+            .collect();
         let clients = std::mem::take(&mut *lock(&shared.clients));
         NetOutcome {
             shards,
@@ -437,15 +402,12 @@ impl NetServer {
 pub enum BindError {
     /// The listener or a loop's wake descriptor could not be created.
     Io(std::io::Error),
-    /// A shard's GC worker could not be spawned.
-    Shards(ServeError),
 }
 
 impl std::fmt::Display for BindError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             BindError::Io(e) => write!(f, "bind: {e}"),
-            BindError::Shards(e) => write!(f, "shard setup: {e}"),
         }
     }
 }
@@ -453,26 +415,23 @@ impl std::fmt::Display for BindError {
 impl std::error::Error for BindError {}
 
 // ---------------------------------------------------------------------
-// Shard executor
+// Shard owner
 // ---------------------------------------------------------------------
 
-fn shard_executor(shard: usize, shared: &Shared, exec: &ShardExec, loops: &[LoopShared]) {
-    loop {
-        let job = {
-            let mut st = lock(&exec.state);
-            loop {
-                if let Some(job) = st.jobs.pop_front() {
-                    break job;
-                }
-                if st.stop {
-                    return;
-                }
-                st = exec
-                    .cv
-                    .wait(st)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-            }
-        };
+/// A shard's owner thread: runs the shard's jobs in arrival order and
+/// returns the shard once its queue is stopped and empty. A turn's
+/// completion is posted before the turn's collection drain, so a client
+/// never waits for a collection its own turn made due; the jobs queued
+/// behind that drain wait instead, and their replies report the overlap
+/// as GC stall.
+fn shard_owner(mut shard: Shard, exec: &ShardExec, loops: &[LoopShared]) -> Shard {
+    // Drains that may still overlap a queued job's wait, oldest first.
+    let mut drains: VecDeque<(Instant, Instant)> = VecDeque::new();
+    while let Some((enqueued, job)) = next_job(exec) {
+        let started = Instant::now();
+        while drains.front().is_some_and(|&(_, end)| end <= enqueued) {
+            drains.pop_front();
+        }
         match job {
             Job::Turn {
                 loop_id,
@@ -481,22 +440,17 @@ fn shard_executor(shard: usize, shared: &Shared, exec: &ShardExec, loops: &[Loop
                 ops,
                 mut objects,
             } => {
-                // An engine panic must kill neither the executor (which
-                // would hang every queued connection) nor the objects
-                // map travelling with the job.
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    run_turn(shared, shard, session, &ops, &mut objects)
-                }))
-                .unwrap_or_else(|payload| {
-                    let msg = if let Some(s) = payload.downcast_ref::<&str>() {
-                        (*s).to_owned()
-                    } else if let Some(s) = payload.downcast_ref::<String>() {
-                        s.clone()
-                    } else {
-                        "non-string panic payload".to_owned()
-                    };
-                    Err(TurnFail::Shard(format!("shard executor panicked: {msg}")))
-                });
+                let gc_stall_ns = gc_stall_ns(enqueued, started, &drains);
+                let outcome = match shard.apply(SessionId::new(session), |sess| {
+                    apply_ops(sess, &mut objects, &ops)
+                }) {
+                    Ok(Ok(applied)) => Ok((applied, gc_stall_ns)),
+                    Ok(Err(e)) => Err(TurnFail::Turn(e)),
+                    Err(e) => Err(TurnFail::Shard(e.to_string())),
+                };
+                // A panicking turn stops the shard: publish that before
+                // the client can see its `ShardFailed`.
+                publish(&shard, exec);
                 complete(
                     loops,
                     loop_id,
@@ -506,24 +460,10 @@ fn shard_executor(shard: usize, shared: &Shared, exec: &ShardExec, loops: &[Loop
                         outcome,
                     },
                 );
+                drain(&mut shard, exec, &mut drains);
             }
             Job::Collect { fan } => {
-                let kicked = {
-                    let guard = shared
-                        .set
-                        .read()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    match guard.as_ref() {
-                        // A failed shard just doesn't collect; Collect
-                        // is best-effort, exactly as before.
-                        Some(set) => set
-                            .checkout(shard)
-                            .map(|turn| turn.finish())
-                            .unwrap_or(false),
-                        None => false,
-                    }
-                };
-                if kicked {
+                if drain(&mut shard, exec, &mut drains) {
                     fan.kicked.fetch_add(1, Ordering::SeqCst);
                 }
                 if fan.remaining.fetch_sub(1, Ordering::SeqCst) == 1 {
@@ -539,46 +479,65 @@ fn shard_executor(shard: usize, shared: &Shared, exec: &ShardExec, loops: &[Loop
             }
         }
     }
+    shard
 }
 
-fn run_turn(
-    shared: &Shared,
-    shard: usize,
-    session: u32,
-    ops: &[SessionOp],
-    objects: &mut SessionObjects,
-) -> Result<(TurnApplied, u64), TurnFail> {
-    let guard = shared
-        .set
-        .read()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let Some(set) = guard.as_ref() else {
-        return Err(TurnFail::Gone);
-    };
-    let mut turn = match set.checkout(shard) {
-        Ok(turn) => turn,
-        Err(e) => {
-            let message = e.to_string();
-            // The engine hook covers worker deaths; a poisoned-lock
-            // checkout failure lands in the cache here instead.
-            let mut failed = lock(&shared.shard_cache[shard].failed);
-            if failed.is_none() {
-                *failed = Some(message.clone());
-            }
-            return Err(TurnFail::Shard(message));
+/// Blocks for the next job; `None` once the queue is stopped and empty.
+fn next_job(exec: &ShardExec) -> Option<(Instant, Job)> {
+    let mut st = lock(&exec.state);
+    loop {
+        if let Some(job) = st.jobs.pop_front() {
+            return Some(job);
         }
-    };
-    let gc_stall_ns = turn.gc_stall.as_nanos() as u64;
-    let mut sess = turn.session(SessionId::new(session));
-    let result = apply_ops(&mut sess, objects, ops);
-    // A failing turn was partially applied (ops before the error
-    // landed); still hand the shard back so its GC can proceed for
-    // other connections.
-    turn.finish();
-    match result {
-        Ok(applied) => Ok((applied, gc_stall_ns)),
-        Err(e) => Err(TurnFail::Turn(e)),
+        if st.stop {
+            return None;
+        }
+        st = exec
+            .cv
+            .wait(st)
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
     }
+}
+
+/// Drains the shard's due collection, if any, records when it ran, and
+/// publishes the shard's progress. Returns whether a collection was due.
+fn drain(shard: &mut Shard, exec: &ShardExec, drains: &mut VecDeque<(Instant, Instant)>) -> bool {
+    let start = Instant::now();
+    let due = shard.collect();
+    if due {
+        drains.push_back((start, Instant::now()));
+    }
+    publish(shard, exec);
+    due
+}
+
+/// Publishes the shard's progress for `Stats`. The count is a statistic
+/// that guards no other data, hence `Relaxed`.
+fn publish(shard: &Shard, exec: &ShardExec) {
+    exec.collections
+        .store(shard.collection_count(), Ordering::Relaxed);
+    if let Some(notice) = shard.failure() {
+        exec.failed.get_or_init(|| notice.to_owned());
+    }
+}
+
+/// The part of a job's queue wait, `[enqueued, started]`, that
+/// overlapped the shard's collection drains: what `OpsOk.gc_stall_ns`
+/// reports.
+fn gc_stall_ns<'a>(
+    enqueued: Instant,
+    started: Instant,
+    drains: impl IntoIterator<Item = &'a (Instant, Instant)>,
+) -> u64 {
+    drains
+        .into_iter()
+        .map(|&(from, to)| {
+            let overlap = to
+                .min(started)
+                .saturating_duration_since(from.max(enqueued));
+            overlap.as_nanos() as u64
+        })
+        .sum()
 }
 
 // ---------------------------------------------------------------------
@@ -936,6 +895,18 @@ impl NetLoop<'_> {
 
     fn handle_request(&mut self, idx: usize, conn: &mut Connection, req: Request) {
         match req {
+            Request::Hello { .. } if conn.session.is_some() => {
+                // Rebinding would carry this session's object map and
+                // credits into another session's shard.
+                self.queue_response(
+                    conn,
+                    &Response::Error {
+                        code: ErrorCode::Protocol,
+                        message: "Hello on a bound connection".into(),
+                    },
+                );
+                conn.close_after_flush = true;
+            }
             Request::Hello { session, window } => {
                 let window = window.clamp(1, self.shared.window_max);
                 conn.session = Some(session);
@@ -1047,14 +1018,13 @@ impl NetLoop<'_> {
 
     fn stats_snapshot(&self) -> Response {
         let shards = self
-            .shared
-            .shard_cache
+            .execs
             .iter()
             .enumerate()
-            .map(|(i, cache)| ShardStats {
+            .map(|(i, exec)| ShardStats {
                 shard: i as u32,
-                collections: cache.collections.load(Ordering::SeqCst),
-                failed: lock(&cache.failed).clone(),
+                collections: exec.collections.load(Ordering::Relaxed),
+                failed: exec.failed.get().cloned(),
             })
             .collect();
         let clients = lock(&self.shared.clients).clone();
@@ -1130,10 +1100,6 @@ impl NetLoop<'_> {
                         code: ErrorCode::ShardFailed,
                         message,
                     },
-                    Err(TurnFail::Gone) => Response::Error {
-                        code: ErrorCode::Draining,
-                        message: "server is shut down".into(),
-                    },
                 };
                 self.resume(idx, conn, resp);
             }
@@ -1165,5 +1131,34 @@ impl NetLoop<'_> {
         }
         self.conns[idx] = Some(conn);
         self.retire(idx, verdict);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn gc_stall_is_the_queue_wait_that_overlapped_a_drain() {
+        let t0 = Instant::now();
+        let at = |ms: u64| t0 + Duration::from_millis(ms);
+        let ns = |ms: u64| ms * 1_000_000;
+        // Drains ran over [10, 20] and [30, 35].
+        let drains = [(at(10), at(20)), (at(30), at(35))];
+        let stall = |enqueued, started| gc_stall_ns(at(enqueued), at(started), &drains);
+
+        // Queued before the first drain, started after the second:
+        // both drains count in full.
+        assert_eq!(stall(5, 40), ns(15));
+        // Queued mid-drain: only the rest of that drain counts.
+        assert_eq!(stall(14, 20), ns(6));
+        // Queued and started between drains, or after both: no stall.
+        assert_eq!(stall(22, 28), 0);
+        assert_eq!(stall(36, 50), 0);
+        // Started mid-drain cannot happen on one owner, but the overlap
+        // still clips to the wait.
+        assert_eq!(stall(12, 15), ns(3));
+        // A job that never waited.
+        assert_eq!(stall(40, 40), 0);
     }
 }

@@ -454,46 +454,6 @@ impl Simulator {
         }
         Ok(engine.into_result(phases))
     }
-
-    /// Replays `trace` under `policy`, collecting per the configuration.
-    #[deprecated(note = "use `Simulator::replay(&trace, policy, ReplayOptions::new())`")]
-    pub fn run(&self, trace: &Trace, policy: &mut dyn RatePolicy) -> Result<RunResult, SimError> {
-        self.replay(trace, policy, ReplayOptions::new())
-            .map_err(ReplayError::into_sim)
-    }
-
-    /// Like `run`, additionally recording a [`RunTelemetry`]: the
-    /// per-decision policy log and per-phase accounting.
-    #[deprecated(note = "use `Simulator::replay` with `ReplayOptions::new().telemetry(&mut sink)`")]
-    pub fn run_with_telemetry(
-        &self,
-        trace: &Trace,
-        policy: &mut dyn RatePolicy,
-    ) -> Result<(RunResult, RunTelemetry), SimError> {
-        let mut telemetry = RunTelemetry::new(policy.name());
-        self.replay(
-            trace,
-            policy,
-            ReplayOptions::new().telemetry(&mut telemetry),
-        )
-        .map(|result| (result, telemetry))
-        .map_err(ReplayError::into_sim)
-    }
-
-    /// Replays a fallible *stream* of events under `policy`.
-    #[deprecated(note = "use `Simulator::replay` with an `EventStream` source")]
-    pub fn run_streaming<E>(
-        &self,
-        phase_names: &[String],
-        events: impl IntoIterator<Item = Result<Event, E>>,
-        policy: &mut dyn RatePolicy,
-    ) -> Result<RunResult, ReplayError<E>> {
-        self.replay(
-            EventStream::new(phase_names.to_vec(), events),
-            policy,
-            ReplayOptions::new(),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -604,37 +564,6 @@ mod tests {
             .unwrap_err();
         assert_eq!(e.event_index, 0);
         assert!(e.to_string().contains("event 0"));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_match_replay() {
-        let trace = tiny_trace(12);
-        let sim = Simulator::new(SimConfig::tiny());
-        let via_replay = {
-            let mut p = SaioPolicy::with_frac(0.10);
-            replay(&sim, &trace, &mut p)
-        };
-        let via_run = {
-            let mut p = SaioPolicy::with_frac(0.10);
-            sim.run(&trace, &mut p).expect("run")
-        };
-        assert_eq!(via_replay, via_run);
-        let (via_telemetry, _) = {
-            let mut p = SaioPolicy::with_frac(0.10);
-            sim.run_with_telemetry(&trace, &mut p).expect("run")
-        };
-        assert_eq!(via_replay, via_telemetry);
-        let via_streaming = {
-            let mut p = SaioPolicy::with_frac(0.10);
-            sim.run_streaming(
-                trace.phase_names(),
-                trace.iter().cloned().map(Ok::<_, Infallible>),
-                &mut p,
-            )
-            .expect("run")
-        };
-        assert_eq!(via_replay, via_streaming);
     }
 
     #[test]

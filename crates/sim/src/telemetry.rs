@@ -4,10 +4,11 @@
 //! fractions, totals, series); telemetry carries the *explanations*:
 //!
 //! * a **policy decision log** — one [`DecisionRecord`] per trigger
-//!   decision, capturing the [`CollectionObservation`] the policy saw,
-//!   the [`Trigger`] it chose, whether a configured clamp was hit
-//!   ([`ClampHit`]), and the shadow estimator's `ActGarb` error against
-//!   the oracle's `exact_garbage`;
+//!   decision, capturing the
+//!   [`CollectionObservation`](odbgc_core::CollectionObservation) the
+//!   policy saw, the [`Trigger`](odbgc_core::Trigger) it chose,
+//!   whether a configured clamp was hit ([`ClampHit`]), and the shadow
+//!   estimator's `ActGarb` error against the oracle's `exact_garbage`;
 //! * **per-phase accounting** — application I/O, GC I/O, overwrites,
 //!   collections, and the event-sampled garbage-percentage mean split by
 //!   OO7 phase ([`PhaseTelemetry`]);

@@ -20,10 +20,10 @@ use std::io::Write;
 use std::time::Duration;
 
 use odbgc_core::FixedRatePolicy;
-use odbgc_engine::{EngineConfig, SessionWorkload, WorkloadParams};
+use odbgc_engine::{EngineConfig, GcFault, ObjRef, SessionOp, SessionWorkload, WorkloadParams};
 use odbgc_net::{
-    frame_into, run_clients, ClientConfig, Conn, FrameAssembler, NetConfig, NetOutcome, NetServer,
-    Request, Response,
+    frame_into, run_client, run_clients, ClientConfig, ClientError, Conn, ErrorCode,
+    FrameAssembler, NetConfig, NetOutcome, NetServer, Request, Response,
 };
 use proptest::prelude::*;
 
@@ -296,4 +296,115 @@ fn idle_connections_never_tick() {
             outcome.loops
         );
     }
+}
+
+/// A connection binds one session for its lifetime: a second `Hello`
+/// is a protocol error that closes the connection, so the first
+/// session's object map and credits can never be carried onto another
+/// session's shard.
+#[test]
+fn second_hello_is_refused_and_closes_the_connection() {
+    let (addr, server) = spawn_server(net_config(2, 1));
+    let mut conn = Conn::connect(&addr).expect("connect");
+    let hello = |session| Request::Hello { session, window: 4 };
+    match conn.request(&hello(0)).expect("hello") {
+        Response::HelloOk { shard: 0, .. } => {}
+        other => panic!("want HelloOk on shard 0, got {other:?}"),
+    }
+    let ops = vec![
+        SessionOp::Create { size: 64, slots: 1 },
+        SessionOp::AddRoot { obj: ObjRef(0) },
+    ];
+    match conn
+        .request(&Request::Ops { ops: ops.clone() })
+        .expect("turn")
+    {
+        Response::OpsOk { applied: 2, .. } => {}
+        other => panic!("want OpsOk, got {other:?}"),
+    }
+
+    match conn.request_raw(&hello(1)).expect("second hello answered") {
+        Response::Error { code, .. } => assert_eq!(code, ErrorCode::Protocol),
+        other => panic!("want a protocol error, got {other:?}"),
+    }
+    // Closed after the error: nothing more is applied, on either shard.
+    assert!(matches!(
+        conn.request_raw(&Request::Ops { ops }),
+        Err(ClientError::Proto(_))
+    ));
+
+    shutdown(&addr);
+    let outcome = server.join().unwrap();
+    let events: Vec<u64> = outcome
+        .shards
+        .iter()
+        .map(|s| s.result.events_replayed)
+        .collect();
+    assert_eq!(events, vec![2, 0], "only the bound session's turn applied");
+    let counters = outcome
+        .clients
+        .iter()
+        .find(|c| c.session == 0)
+        .expect("the refused connection is accounted");
+    assert_eq!(counters.turns, 1);
+    assert!(
+        !counters.clean_close,
+        "a protocol error is not a clean close"
+    );
+}
+
+/// `Stats` reads what each shard's owner publishes: after shard 0's
+/// collection panics, its failure notice is byte-equal to the one in
+/// the drained outcome, and the healthy shard's collection count is its
+/// final count.
+#[test]
+fn stats_report_each_shards_collections_and_failure() {
+    let mut config = net_config(2, 1);
+    config.gc_fault = Some(GcFault {
+        shard: 0,
+        after_collections: 0,
+    });
+    let (addr, server) = spawn_server(config);
+    let client = |session| ClientConfig {
+        addr: addr.clone(),
+        session,
+        ops: 400,
+        batch: 8,
+        window: 4,
+        workload: WorkloadParams::default(),
+        shutdown_after: false,
+    };
+    assert_eq!(run_client(&client(1)).expect("healthy").ops_applied, 400);
+    match run_client(&client(0)).expect_err("shard 0 fails") {
+        ClientError::Server { code, .. } => assert_eq!(code, ErrorCode::ShardFailed),
+        other => panic!("want ShardFailed, got {other}"),
+    }
+
+    let mut admin = Conn::connect(&addr).expect("admin");
+    // Each owner runs `Collect` after every job queued before it,
+    // including the collection drain that follows shard 1's last turn,
+    // so the snapshot below sees both shards' final state.
+    match admin.request(&Request::Collect).expect("collect") {
+        Response::CollectOk { .. } => {}
+        other => panic!("want CollectOk, got {other:?}"),
+    }
+    let snap = match admin.request(&Request::Stats).expect("stats") {
+        Response::StatsOk(snap) => snap,
+        other => panic!("want StatsOk, got {other:?}"),
+    };
+    match admin.request(&Request::Shutdown).expect("shutdown") {
+        Response::ShutdownOk => {}
+        other => panic!("want ShutdownOk, got {other:?}"),
+    }
+    let outcome = server.join().unwrap();
+
+    let failed = outcome.shards[0].failed.clone();
+    assert!(failed
+        .as_deref()
+        .is_some_and(|m| m.contains("injected GC worker fault")));
+    assert_eq!(snap.shards[0].failed, failed);
+    assert_eq!(snap.shards[1].failed, None);
+    let collections = outcome.shards[1].result.collection_count();
+    assert!(collections > 0, "rate 20 over 400 ops collects");
+    assert_eq!(snap.shards[1].collections, collections);
 }
