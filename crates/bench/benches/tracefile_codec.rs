@@ -1,7 +1,7 @@
 //! Tracefile codec micro-benchmarks: binary encode/decode throughput
-//! versus the text codec, and streaming replay straight off the binary
-//! encoding. These back the corpus design choice — loading a tracefile
-//! must beat regenerating the trace by a wide margin.
+//! versus the text codec, and block-at-a-time batch decoding straight
+//! off the binary encoding. These back the corpus design choice —
+//! loading a tracefile must beat regenerating the trace by a wide margin.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
@@ -40,26 +40,9 @@ fn bench_tracefile(c: &mut Criterion) {
     });
     group.finish();
 
-    // Streaming: iterate every event without materializing a Trace.
-    let mut group = c.benchmark_group("tracefile_stream");
-    group.throughput(Throughput::Elements(events));
-    group.sample_size(20);
-    group.bench_function("read_events", |b| {
-        b.iter(|| {
-            let reader = odbgc_tracefile::TraceReader::new(binary.as_slice()).expect("header");
-            let mut n = 0u64;
-            for ev in reader {
-                black_box(ev.expect("event"));
-                n += 1;
-            }
-            n
-        })
-    });
-    group.finish();
-
     // Zero-copy batches: drain borrowed `&[Event]` blocks without a
     // Trace, per-event allocation, or per-event Result — first off an
-    // in-memory slice (what the mmap reader runs over a mapped region),
+    // in-memory slice (what `open_batches` runs over a mapped region),
     // then off an actual file through `open_batches`.
     let dir = std::env::temp_dir().join(format!("odbgc-bench-tracefile-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("bench temp dir");

@@ -10,7 +10,11 @@ pub mod sweep;
 pub mod telemetry;
 pub mod trace;
 
+use std::io::{Read as _, Write as _};
+use std::path::Path;
+
 use odbgc_trace::Trace;
+use odbgc_tracefile::{DecodeError, FileBatches};
 
 use crate::CliError;
 
@@ -49,27 +53,66 @@ impl TraceFormat {
     }
 }
 
-/// Loads a trace from disk, sniffing the format from the file's leading
-/// bytes (binary tracefiles start with the `OTBF` magic; everything else
-/// is parsed as the text codec). The extension is irrelevant on read.
-pub fn load_trace(path: &str) -> Result<Trace, CliError> {
-    let bytes = std::fs::read(path).map_err(|e| CliError(format!("cannot read {path:?}: {e}")))?;
-    if odbgc_tracefile::is_binary(&bytes) {
-        return odbgc_tracefile::decode(&bytes).map_err(|e| CliError(format!("{path}: {e}")));
+/// A trace file opened by content: a binary tracefile ready for
+/// block-at-a-time reading, or a trace held in memory (parsed from the
+/// text codec, or generated).
+pub enum TraceInput {
+    /// A binary tracefile, mapped (or read whole) and decoded per block.
+    Batches(FileBatches),
+    /// A whole trace in memory.
+    InMemory(Trace),
+}
+
+/// Opens a trace file, sniffing the format from its leading bytes:
+/// binary tracefiles start with the `OTBF` magic and open through
+/// [`odbgc_tracefile::open_batches`]; everything else is parsed as the
+/// text codec. The extension is irrelevant on read.
+pub fn open_trace(path: &str) -> Result<TraceInput, CliError> {
+    let mut prefix = [0u8; 4];
+    let n = std::fs::File::open(path)
+        .and_then(|mut f| f.read(&mut prefix))
+        .map_err(|e| CliError(format!("cannot read {path:?}: {e}")))?;
+    if odbgc_tracefile::is_binary(&prefix[..n]) {
+        return open_batches(path).map(TraceInput::Batches);
     }
+    let bytes = std::fs::read(path).map_err(|e| CliError(format!("cannot read {path:?}: {e}")))?;
     let text = String::from_utf8(bytes)
         .map_err(|_| CliError(format!("{path}: neither a binary tracefile nor UTF-8 text")))?;
-    odbgc_trace::codec::decode(&text).map_err(|e| CliError(format!("{path}: {e}")))
+    odbgc_trace::codec::decode(&text)
+        .map(TraceInput::InMemory)
+        .map_err(|e| CliError(format!("{path}: {e}")))
+}
+
+/// Opens a binary tracefile for batched reading, with the CLI's error
+/// wording: I/O failures are "cannot read", decode failures name the
+/// file.
+pub fn open_batches(path: &str) -> Result<FileBatches, CliError> {
+    odbgc_tracefile::open_batches(Path::new(path)).map_err(|e| match e {
+        DecodeError::Io(e) => CliError(format!("cannot read {path:?}: {e}")),
+        e => CliError(format!("{path}: {e}")),
+    })
+}
+
+/// Loads a whole trace from disk, in either format (see [`open_trace`]).
+pub fn load_trace(path: &str) -> Result<Trace, CliError> {
+    match open_trace(path)? {
+        TraceInput::Batches(reader) => reader
+            .read_to_trace()
+            .map_err(|e| CliError(format!("{path}: {e}"))),
+        TraceInput::InMemory(trace) => Ok(trace),
+    }
 }
 
 /// Serializes a trace in the given format and writes it to `path`,
-/// returning the on-disk size in bytes.
+/// returning the on-disk size in bytes. The file is replaced whole
+/// ([`odbgc_tracefile::replace_file`]), never truncated in place.
 pub fn write_trace_file(path: &str, trace: &Trace, format: TraceFormat) -> Result<u64, CliError> {
     let bytes = match format {
         TraceFormat::Text => odbgc_trace::codec::encode(trace).into_bytes(),
         TraceFormat::Binary => odbgc_tracefile::encode(trace),
     };
-    std::fs::write(path, &bytes).map_err(|e| CliError(format!("cannot write {path:?}: {e}")))?;
+    odbgc_tracefile::replace_file(Path::new(path), |out| out.write_all(&bytes))
+        .map_err(|e| CliError(format!("cannot write {path:?}: {e}")))?;
     Ok(bytes.len() as u64)
 }
 

@@ -1,84 +1,23 @@
 //! `odbgc trace` — tracefile utilities: convert, stat, verify, cat.
 //!
-//! All four subcommands process binary tracefiles block by block — none
-//! of them holds more than one decoded block (plus a reusable text
-//! buffer) in memory, so they work on corpora far larger than RAM.
-//! `stat`, `verify`, and `cat` additionally accept `--mmap true` to read
-//! through a read-only memory map instead of buffered I/O (heap usage is
-//! still one block either way; see `odbgc_tracefile::mmap` for the
-//! safety argument and fallback conditions).
+//! All four subcommands read binary tracefiles through
+//! [`odbgc_tracefile::open_batches`]: the file is mapped read-only (or
+//! read whole where mapping is unavailable) and decoded one block at a
+//! time, so decoded events never take more than one block of heap
+//! (plus a reusable text buffer), whatever the file size. `convert`
+//! writes its output through [`odbgc_tracefile::replace_file`], so
+//! converting a file onto itself is safe. See `odbgc_tracefile::mmap`
+//! for the mapping's safety argument and fallback conditions.
 
-use std::io::{BufReader, BufWriter, Write as _};
+use std::io::{BufWriter, Write as _};
+use std::path::Path;
 
 use odbgc_trace::{codec, Event};
-use odbgc_tracefile::{
-    BatchReader, DecodeError, FileBatches, ReadBlocks, TraceReader, TraceWriter,
-};
+use odbgc_tracefile::{DecodeError, FileBatches, TraceWriter};
 
-use crate::commands::{load_trace, TraceFormat};
+use crate::commands::{open_batches, open_trace, TraceFormat, TraceInput};
 use crate::flags::Flags;
 use crate::CliError;
-
-/// A batched block reader over either backing: buffered streaming I/O or
-/// a read-only memory map. One decoded block resident at a time in both.
-enum AnyBatches {
-    Stream(BatchReader<ReadBlocks<BufReader<std::fs::File>>>),
-    Mapped(FileBatches),
-}
-
-impl AnyBatches {
-    /// Opens `path`, mapping it when `mmap` is set.
-    fn open(path: &str, mmap: bool) -> Result<Self, CliError> {
-        if mmap {
-            odbgc_tracefile::open_batches(std::path::Path::new(path))
-                .map(AnyBatches::Mapped)
-                .map_err(|e| match e {
-                    DecodeError::Io(e) => CliError(format!("cannot read {path:?}: {e}")),
-                    e => CliError(format!("{path}: {e}")),
-                })
-        } else {
-            let file = std::fs::File::open(path)
-                .map_err(|e| CliError(format!("cannot read {path:?}: {e}")))?;
-            ReadBlocks::new(BufReader::new(file))
-                .and_then(BatchReader::new)
-                .map(AnyBatches::Stream)
-                .map_err(|e| CliError(format!("{path}: {e}")))
-        }
-    }
-
-    fn phase_names(&self) -> &[String] {
-        match self {
-            AnyBatches::Stream(r) => r.phase_names(),
-            AnyBatches::Mapped(r) => r.phase_names(),
-        }
-    }
-
-    fn next_batch(&mut self) -> Result<Option<&[Event]>, DecodeError> {
-        match self {
-            AnyBatches::Stream(r) => r.next_batch(),
-            AnyBatches::Mapped(r) => r.next_batch(),
-        }
-    }
-
-    fn events_read(&self) -> u64 {
-        match self {
-            AnyBatches::Stream(r) => r.events_read(),
-            AnyBatches::Mapped(r) => r.events_read(),
-        }
-    }
-
-    fn blocks_read(&self) -> u64 {
-        match self {
-            AnyBatches::Stream(r) => r.blocks_read(),
-            AnyBatches::Mapped(r) => r.blocks_read(),
-        }
-    }
-}
-
-/// The shared `--mmap true|false` flag (default: buffered streaming).
-fn mmap_flag(flags: &Flags) -> Result<bool, CliError> {
-    flags.get_or("mmap", false)
-}
 
 /// Dispatches `odbgc trace <subcommand>`.
 pub fn run(args: &[String]) -> Result<String, CliError> {
@@ -98,18 +37,14 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     }
 }
 
-fn open_binary(path: &str) -> Result<TraceReader<BufReader<std::fs::File>>, CliError> {
-    let file =
-        std::fs::File::open(path).map_err(|e| CliError(format!("cannot read {path:?}: {e}")))?;
-    TraceReader::new(BufReader::new(file)).map_err(|e| CliError(format!("{path}: {e}")))
-}
-
 /// `odbgc trace convert --in <file> --out <file> [--format binary|text]`.
 ///
 /// The target format defaults to the output extension (`.otb` → binary).
-/// Binary→text streams event by event and produces output byte-identical
-/// to `codec::encode` of the same trace; text→binary round-trips through
-/// the in-memory trace.
+/// A binary source is read block by block and produces text
+/// byte-identical to `codec::encode` of the same trace (and binary
+/// byte-identical to the source); a text source round-trips through the
+/// in-memory trace. The output replaces `--out` whole, so `--in` may
+/// equal `--out`.
 fn convert(args: &[String]) -> Result<String, CliError> {
     let flags = Flags::parse(args)?;
     let input = flags.require("in")?;
@@ -120,60 +55,44 @@ fn convert(args: &[String]) -> Result<String, CliError> {
     };
     flags.finish()?;
 
-    let header = std::fs::File::open(&input)
-        .and_then(|mut f| {
-            use std::io::Read as _;
-            let mut prefix = [0u8; 4];
-            let n = f.read(&mut prefix)?;
-            Ok(prefix[..n].to_vec())
-        })
-        .map_err(|e| CliError(format!("cannot read {input:?}: {e}")))?;
-
-    let events = if odbgc_tracefile::is_binary(&header) {
-        // Binary source: stream, never materializing the trace.
-        let reader = open_binary(&input)?;
-        match format {
-            TraceFormat::Text => {
-                let out_file = std::fs::File::create(&output)
-                    .map_err(|e| CliError(format!("cannot write {output:?}: {e}")))?;
-                let mut w = BufWriter::new(out_file);
-                w.write_all(codec::encode_header(reader.phase_names()).as_bytes())
-                    .map_err(|e| CliError(format!("cannot write {output:?}: {e}")))?;
-                let mut line = String::new();
-                let mut n = 0u64;
-                for ev in reader {
-                    let ev = ev.map_err(|e| CliError(format!("{input}: {e}")))?;
-                    line.clear();
-                    codec::encode_event(&mut line, &ev);
-                    w.write_all(line.as_bytes())
-                        .map_err(|e| CliError(format!("cannot write {output:?}: {e}")))?;
-                    n += 1;
+    let events = match open_trace(&input)? {
+        TraceInput::Batches(mut reader) => {
+            let written = odbgc_tracefile::replace_file(Path::new(&output), |out| {
+                match format {
+                    TraceFormat::Text => {
+                        out.write_all(codec::encode_header(reader.phase_names()).as_bytes())?;
+                        let mut text = String::new();
+                        while let Some(batch) = reader.next_batch()? {
+                            text.clear();
+                            for ev in batch {
+                                codec::encode_event(&mut text, ev);
+                            }
+                            out.write_all(text.as_bytes())?;
+                        }
+                    }
+                    TraceFormat::Binary => {
+                        let mut w = TraceWriter::new(out, reader.phase_names())?;
+                        while let Some(batch) = reader.next_batch()? {
+                            for ev in batch {
+                                w.write_event(ev)?;
+                            }
+                        }
+                        w.finish()?;
+                    }
                 }
-                w.flush()
-                    .map_err(|e| CliError(format!("cannot write {output:?}: {e}")))?;
-                n
-            }
-            TraceFormat::Binary => {
-                let out_file = std::fs::File::create(&output)
-                    .map_err(|e| CliError(format!("cannot write {output:?}: {e}")))?;
-                let mut w = TraceWriter::new(BufWriter::new(out_file), reader.phase_names())
-                    .map_err(|e| CliError(format!("cannot write {output:?}: {e}")))?;
-                for ev in reader {
-                    let ev = ev.map_err(|e| CliError(format!("{input}: {e}")))?;
-                    w.write_event(&ev)
-                        .map_err(|e| CliError(format!("cannot write {output:?}: {e}")))?;
-                }
-                let n = w.events_written();
-                w.finish()
-                    .and_then(|mut b| b.flush().map(|_| b))
-                    .map_err(|e| CliError(format!("cannot write {output:?}: {e}")))?;
-                n
-            }
+                Ok::<_, DecodeError>(reader.events_read())
+            });
+            // The input was fully opened before the output was created,
+            // so an I/O error here is the output's.
+            written.map_err(|e| match e {
+                DecodeError::Io(e) => CliError(format!("cannot write {output:?}: {e}")),
+                e => CliError(format!("{input}: {e}")),
+            })?
         }
-    } else {
-        let trace = load_trace(&input)?;
-        crate::commands::write_trace_file(&output, &trace, format)?;
-        trace.len() as u64
+        TraceInput::InMemory(trace) => {
+            crate::commands::write_trace_file(&output, &trace, format)?;
+            trace.len() as u64
+        }
     };
 
     let size = std::fs::metadata(&output).map(|m| m.len()).unwrap_or(0);
@@ -198,49 +117,39 @@ fn bucket(ev: &Event) -> usize {
     }
 }
 
-/// `odbgc trace stat --trace <file> [--mmap true]` — event census and
-/// size figures, block-at-a-time.
+/// `odbgc trace stat --trace <file>` — event census and size figures,
+/// block-at-a-time.
 fn stat(args: &[String]) -> Result<String, CliError> {
     let flags = Flags::parse(args)?;
     let path = flags.require("trace")?;
-    let mmap = mmap_flag(&flags)?;
     flags.finish()?;
 
     let size = std::fs::metadata(&path)
         .map(|m| m.len())
         .map_err(|e| CliError(format!("cannot read {path:?}: {e}")))?;
-    let is_bin = {
-        let mut prefix = [0u8; 4];
-        use std::io::Read as _;
-        std::fs::File::open(&path)
-            .and_then(|mut f| f.read(&mut prefix).map(|n| (n, prefix)))
-            .map(|(n, p)| odbgc_tracefile::is_binary(&p[..n]))
-            .map_err(|e| CliError(format!("cannot read {path:?}: {e}")))?
-    };
 
     let mut counts = [0u64; 6];
-    let mut phases: Vec<String>;
-    if is_bin {
-        let mut reader = AnyBatches::open(&path, mmap)?;
-        loop {
-            match reader.next_batch() {
-                Ok(Some(batch)) => {
-                    for ev in batch {
-                        counts[bucket(ev)] += 1;
-                    }
+    let input = open_trace(&path)?;
+    let is_bin = matches!(input, TraceInput::Batches(_));
+    let mut phases = match input {
+        TraceInput::Batches(mut reader) => {
+            while let Some(batch) = reader
+                .next_batch()
+                .map_err(|e| CliError(format!("{path}: {e}")))?
+            {
+                for ev in batch {
+                    counts[bucket(ev)] += 1;
                 }
-                Ok(None) => break,
-                Err(e) => return Err(CliError(format!("{path}: {e}"))),
             }
+            reader.phase_names().to_vec()
         }
-        phases = reader.phase_names().to_vec();
-    } else {
-        let trace = load_trace(&path)?;
-        phases = trace.phase_names().to_vec();
-        for ev in trace.iter() {
-            counts[bucket(ev)] += 1;
+        TraceInput::InMemory(trace) => {
+            for ev in trace.iter() {
+                counts[bucket(ev)] += 1;
+            }
+            trace.phase_names().to_vec()
         }
-    }
+    };
     if phases.is_empty() {
         phases = vec!["(none)".into()];
     }
@@ -266,16 +175,15 @@ fn stat(args: &[String]) -> Result<String, CliError> {
     ))
 }
 
-/// `odbgc trace verify --trace <file> [--mmap true]` — full decode,
-/// block-at-a-time; any corruption (bad magic, checksum mismatch,
-/// truncation…) is a hard error with the tracefile's typed diagnosis.
+/// `odbgc trace verify --trace <file>` — full decode, block-at-a-time;
+/// any corruption (bad magic, checksum mismatch, truncation…) is a hard
+/// error with the tracefile's typed diagnosis.
 fn verify(args: &[String]) -> Result<String, CliError> {
     let flags = Flags::parse(args)?;
     let path = flags.require("trace")?;
-    let mmap = mmap_flag(&flags)?;
     flags.finish()?;
 
-    let mut reader = AnyBatches::open(&path, mmap)?;
+    let mut reader = open_batches(&path)?;
     loop {
         match reader.next_batch() {
             Ok(Some(_)) => {}
@@ -337,7 +245,7 @@ struct CatStats {
 /// text buffer, never the whole file.
 fn cat_batches<W: std::io::Write>(
     path: &str,
-    mut reader: AnyBatches,
+    mut reader: FileBatches,
     limit: u64,
     out: W,
 ) -> Result<CatStats, CliError> {
@@ -376,33 +284,26 @@ fn cat_batches<W: std::io::Write>(
     })
 }
 
-/// `odbgc trace cat --trace <file> [--limit N] [--mmap true]` — print
-/// events in the text format. Binary inputs stream block by block
-/// straight to stdout (output matches `convert`); text inputs are small
-/// enough to round-trip in memory.
+/// `odbgc trace cat --trace <file> [--limit N]` — print events in the
+/// text format. Binary inputs stream block by block straight to stdout
+/// (output matches `convert`); text inputs are small enough to
+/// round-trip in memory.
 fn cat(args: &[String]) -> Result<String, CliError> {
     let flags = Flags::parse(args)?;
     let path = flags.require("trace")?;
     let limit: u64 = flags.get_or("limit", u64::MAX)?;
-    let mmap = mmap_flag(&flags)?;
     flags.finish()?;
 
-    let header = {
-        let mut prefix = [0u8; 4];
-        use std::io::Read as _;
-        std::fs::File::open(&path)
-            .and_then(|mut f| f.read(&mut prefix).map(|n| prefix[..n].to_vec()))
-            .map_err(|e| CliError(format!("cannot read {path:?}: {e}")))?
+    let trace = match open_trace(&path)? {
+        TraceInput::Batches(reader) => {
+            let stdout = std::io::stdout();
+            cat_batches(&path, reader, limit, BufWriter::new(stdout.lock()))?;
+            // Everything but the final newline is already on stdout; the
+            // dispatch layer's `writeln!` supplies that newline.
+            return Ok(String::new());
+        }
+        TraceInput::InMemory(trace) => trace,
     };
-    if odbgc_tracefile::is_binary(&header) {
-        let reader = AnyBatches::open(&path, mmap)?;
-        let stdout = std::io::stdout();
-        cat_batches(&path, reader, limit, BufWriter::new(stdout.lock()))?;
-        // Everything but the final newline is already on stdout; the
-        // dispatch layer's `writeln!` supplies that newline.
-        return Ok(String::new());
-    }
-    let trace = load_trace(&path)?;
     let mut out = String::new();
     out.push_str(&codec::encode_header(trace.phase_names()));
     for (i, ev) in trace.iter().enumerate() {
@@ -422,6 +323,7 @@ fn cat(args: &[String]) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::commands::load_trace;
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(str::to_owned).collect()
@@ -511,8 +413,8 @@ mod tests {
     }
 
     /// Runs the streaming cat into a buffer and returns (text, stats).
-    fn cat_to_string(path: &str, limit: u64, mmap: bool) -> (String, CatStats) {
-        let reader = AnyBatches::open(path, mmap).unwrap();
+    fn cat_to_string(path: &str, limit: u64) -> (String, CatStats) {
+        let reader = open_batches(path).unwrap();
         let mut out = Vec::new();
         let stats = cat_batches(path, reader, limit, &mut out).unwrap();
         (String::from_utf8(out).unwrap(), stats)
@@ -522,7 +424,7 @@ mod tests {
     fn cat_limit_truncates() {
         let tmp = TempDir::new("cat");
         let bin = generate(&tmp.0, "t.otb");
-        let (out, stats) = cat_to_string(&bin, 3, false);
+        let (out, stats) = cat_to_string(&bin, 3);
         assert!(out.ends_with('…'), "{out:?}");
         // header + maybe phases line + 3 events + ellipsis.
         assert!(out.lines().count() <= 6, "{out}");
@@ -534,17 +436,15 @@ mod tests {
     }
 
     #[test]
-    fn cat_stream_matches_codec_and_mmap_matches_stream() {
+    fn cat_stream_matches_codec() {
         let tmp = TempDir::new("cat-eq");
         let bin = generate(&tmp.0, "t.otb");
         let trace = load_trace(&bin).unwrap();
         let mut expected = codec::encode(&trace);
         // cat withholds the final newline for the dispatch layer.
         assert_eq!(expected.pop(), Some('\n'));
-        let (streamed, _) = cat_to_string(&bin, u64::MAX, false);
-        let (mapped, _) = cat_to_string(&bin, u64::MAX, true);
+        let (streamed, _) = cat_to_string(&bin, u64::MAX);
         assert_eq!(streamed, expected);
-        assert_eq!(mapped, expected);
     }
 
     #[test]
@@ -561,53 +461,43 @@ mod tests {
             .unwrap();
         let file_size = std::fs::metadata(&path).unwrap().len() as usize;
 
-        let mut reader = AnyBatches::open(&path.display().to_string(), false).unwrap();
+        let mut reader = open_batches(&path.display().to_string()).unwrap();
         let mut blocks = 0u64;
         while reader.next_batch().unwrap().is_some() {
             blocks += 1;
         }
         assert!(blocks > 3, "want a >3-block trace, got {blocks} blocks");
 
-        for mmap in [false, true] {
-            let (text, stats) = cat_to_string(&path.display().to_string(), u64::MAX, mmap);
-            assert_eq!(stats.events, trace.len() as u64);
-            assert!(
-                stats.peak_buf_bytes < text.len() / 2,
-                "peak text buffer {} B must stay well under the {} B output \
-                 (mmap={mmap}): the buffer is reused per block, not grown per file",
-                stats.peak_buf_bytes,
-                text.len()
-            );
-            assert!(file_size > 3 * 32 * 1024, "file spans >3 blocks");
-        }
+        let (text, stats) = cat_to_string(&path.display().to_string(), u64::MAX);
+        assert_eq!(stats.events, trace.len() as u64);
+        assert!(
+            stats.peak_buf_bytes < text.len() / 2,
+            "peak text buffer {} B must stay well under the {} B output: \
+             the buffer is reused per block, not grown per file",
+            stats.peak_buf_bytes,
+            text.len()
+        );
+        assert!(file_size > 3 * 32 * 1024, "file spans >3 blocks");
     }
 
     #[test]
-    fn stat_and_verify_mmap_match_streaming() {
-        let tmp = TempDir::new("mmap-parity");
-        let bin = generate(&tmp.0, "t.otb");
-        let stat_stream = run(&argv(&format!("stat --trace {bin}"))).unwrap();
-        let stat_mapped = run(&argv(&format!("stat --trace {bin} --mmap true"))).unwrap();
-        assert_eq!(stat_stream, stat_mapped);
-        let verify_stream = run(&argv(&format!("verify --trace {bin}"))).unwrap();
-        let verify_mapped = run(&argv(&format!("verify --trace {bin} --mmap true"))).unwrap();
-        assert_eq!(verify_stream, verify_mapped);
-        assert!(verify_mapped.contains("OK"), "{verify_mapped}");
+    fn convert_onto_itself_leaves_the_bytes_unchanged() {
+        // The output must never truncate the input it is still reading:
+        // a multi-block binary tracefile converted onto itself (binary
+        // re-encoding is byte-identical) must come out exactly as it
+        // went in.
+        let tmp = TempDir::new("convert-in-place");
+        let path = tmp.0.join("big.otb").display().to_string();
+        let trace = odbgc_trace::synthetic::linear_chain(30_000, 64, None);
+        crate::commands::write_trace_file(&path, &trace, TraceFormat::Binary).unwrap();
+        let before = std::fs::read(&path).unwrap();
+        assert!(before.len() > 32 * 1024, "want more than one block");
 
-        // Damage is diagnosed identically through the map.
-        let mut bytes = std::fs::read(&bin).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x10;
-        let bad = tmp.0.join("bad.otb").display().to_string();
-        std::fs::write(&bad, &bytes).unwrap();
-        let err_stream = run(&argv(&format!("verify --trace {bad}")))
-            .unwrap_err()
-            .to_string();
-        let err_mapped = run(&argv(&format!("verify --trace {bad} --mmap true")))
-            .unwrap_err()
-            .to_string();
-        assert_eq!(err_stream, err_mapped);
-        assert!(err_mapped.contains("INVALID"), "{err_mapped}");
+        let out = run(&argv(&format!("convert --in {path} --out {path}"))).unwrap();
+        assert!(out.contains("binary"), "{out}");
+        assert_eq!(std::fs::read(&path).unwrap(), before);
+        let ok = run(&argv(&format!("verify --trace {path}"))).unwrap();
+        assert!(ok.contains("OK"), "{ok}");
     }
 
     #[test]

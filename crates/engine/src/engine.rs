@@ -23,7 +23,7 @@ pub enum CollectMode {
     Inline,
     /// Operations never collect; the driver calls
     /// [`StoreEngine::collect_if_due`] at points of its choosing (serve
-    /// mode: on the background worker, between operation batches).
+    /// mode: the shard's owner, after each turn's operations).
     Deferred,
 }
 
@@ -48,8 +48,8 @@ pub struct EventReport {
 ///
 /// The engine is generic over how it holds the policy: owned engines
 /// (serve mode) use the default `Box<dyn RatePolicy + Send>` — which
-/// makes the whole engine `Send`, so shards can live behind mutexes
-/// shared across threads — while the simulator lends a
+/// makes the whole engine `Send`, so a shard can be handed to the one
+/// thread that owns it — while the simulator lends a
 /// `&mut dyn RatePolicy` without giving up ownership or allocating.
 pub struct StoreEngine<P: RatePolicy = Box<dyn RatePolicy + Send>> {
     config: EngineConfig,

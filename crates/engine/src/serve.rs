@@ -571,7 +571,7 @@ impl Shard {
         let (engine, log, index) = (&mut self.engine, &mut self.log, self.index);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             if fault_due {
-                panic!("injected GC worker fault on shard {index}");
+                panic!("injected collection fault on shard {index}");
             }
             // Policies clamp triggers to ≥ 1 elapsed unit, so this runs
             // at most one real collection plus possible no-partition
@@ -963,7 +963,7 @@ mod tests {
         assert_eq!(failure.shard, 0);
         match &failure.kind {
             ServeErrorKind::Failed(notice) => {
-                assert!(notice.contains("injected GC worker fault"), "{notice}");
+                assert!(notice.contains("injected collection fault"), "{notice}");
                 assert_eq!(Some(notice), out.shards[0].failed.as_ref());
             }
             other => panic!("expected Failed, got {other:?}"),
@@ -1011,7 +1011,7 @@ mod tests {
         assert_eq!(shard.collection_count(), 1, "the first collection ran");
         let notice = shard.failure().expect("failure latched").to_owned();
         assert!(notice.starts_with("collection panicked: "), "{notice}");
-        assert!(notice.contains("injected GC worker fault on shard 0"));
+        assert!(notice.contains("injected collection fault on shard 0"));
         assert!(matches!(&err.kind, ServeErrorKind::Failed(n) if *n == notice));
         // A stopped shard neither applies nor collects.
         let mut ran = false;

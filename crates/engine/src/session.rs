@@ -216,20 +216,6 @@ impl<'e, P: odbgc_core::RatePolicy> Session<'e, P> {
         self.apply(ev)
     }
 
-    /// Applies a decoded block of trace events through this session in
-    /// one call — the serve-mode trace-ingestion entry point. Semantics
-    /// are identical to calling [`Session::apply_event`] on each event
-    /// in order (per-event triggers, metrics, and observer calls all
-    /// still fire); only the per-call dispatch overhead is amortized.
-    /// On failure the error carries the index of the offending event
-    /// within `events`; everything before it has been applied.
-    pub fn apply_batch(&mut self, events: &[Event]) -> Result<(), (usize, OpError)> {
-        let id = self.id;
-        self.engine
-            .apply_batch(events, self.observer.as_deref_mut())
-            .map_err(|(i, cause)| (i, OpError { session: id, cause }))
-    }
-
     fn apply(&mut self, ev: &Event) -> Result<EventReport, OpError> {
         let id = self.id;
         self.engine
@@ -334,10 +320,7 @@ mod tests {
             }
         }
         let mut by_batch = engine(4);
-        by_batch
-            .session(SessionId::new(1))
-            .apply_batch(&events)
-            .expect("batched apply");
+        by_batch.apply_batch(&events, None).expect("batched apply");
 
         assert_eq!(by_event.counters(), by_batch.counters());
         assert_eq!(by_event.events_applied(), by_batch.events_applied());
@@ -346,28 +329,6 @@ mod tests {
             by_event.store().garbage_bytes(),
             by_batch.store().garbage_bytes()
         );
-    }
-
-    #[test]
-    fn apply_batch_error_names_index_and_session() {
-        let mut e = engine(1_000_000);
-        let events = vec![
-            Event::Create {
-                id: ObjectId::new(1),
-                size: 16,
-                slots: Box::new([]),
-            },
-            Event::Access {
-                id: ObjectId::new(999),
-            },
-        ];
-        let (idx, err) = e
-            .session(SessionId::new(7))
-            .apply_batch(&events)
-            .unwrap_err();
-        assert_eq!(idx, 1, "first event applied, second failed");
-        assert_eq!(err.session, SessionId::new(7));
-        assert_eq!(e.events_applied(), 1, "prefix before the error sticks");
     }
 
     #[test]

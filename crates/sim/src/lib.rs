@@ -33,10 +33,7 @@ pub use runner::{
     JobError, JobErrorKind, PlanCell, PlanOutcome, PlanProgress, TraceCache,
 };
 pub use series::CollectionRecord;
-pub use simulator::{
-    BatchSource, EventStream, OwnedEvents, ReplayError, ReplayOptions, ReplaySource, RunResult,
-    SimError, Simulator, TraceBatches, TraceEvents,
-};
+pub use simulator::{BatchSource, ReplayError, ReplayOptions, RunResult, SimError, Simulator};
 pub use telemetry::{
     verify_header, DecisionRecord, Json, JsonError, PhaseTelemetry, PlanTelemetry, RunTelemetry,
 };

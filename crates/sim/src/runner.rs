@@ -539,7 +539,7 @@ fn run_plan(
             let mut policy = cell.spec.build();
             Simulator::new(plan.config.clone())
                 .replay(
-                    &*trace,
+                    &trace,
                     policy.as_mut(),
                     crate::simulator::ReplayOptions::new(),
                 )

@@ -8,7 +8,6 @@
 //! (event indexing for errors, phase-name resolution, and the telemetry
 //! sink's phase accounting).
 
-use std::borrow::Cow;
 use std::convert::Infallible;
 
 use odbgc_core::RatePolicy;
@@ -85,114 +84,15 @@ impl<E: std::error::Error + 'static> std::error::Error for ReplayError<E> {
     }
 }
 
-/// Anything a replay can consume: a phase-name table plus a stream of
-/// events.
+/// Anything a replay can consume: a phase-name table plus a sequence of
+/// decoded event blocks, borrowed one block at a time.
 ///
-/// Implemented for `&Trace` (in-memory, infallible, borrowed events) and
-/// [`EventStream`] (streaming, fallible, owned events — most usefully an
-/// `odbgc_tracefile` reader decoding block by block, so peak memory is
-/// O(live database), not O(trace)).
-pub trait ReplaySource<'a> {
-    /// The source's error type ([`Infallible`] for in-memory traces).
-    type Error;
-    /// The event iterator.
-    type Events: Iterator<Item = Result<Cow<'a, Event>, Self::Error>>;
-
-    /// The phase-name table, indexed by [`odbgc_trace::PhaseId`].
-    /// Sources must supply it up front (tracefiles carry it in their
-    /// header) so [`Event::Phase`] markers can be named in the result.
-    fn phase_names(&self) -> Vec<String>;
-
-    /// Consumes the source into its event stream.
-    fn into_events(self) -> Self::Events;
-}
-
-/// Borrowed, infallible events of an in-memory [`Trace`].
-pub struct TraceEvents<'a>(std::slice::Iter<'a, Event>);
-
-impl<'a> Iterator for TraceEvents<'a> {
-    type Item = Result<Cow<'a, Event>, Infallible>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.0.next().map(|ev| Ok(Cow::Borrowed(ev)))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.0.size_hint()
-    }
-}
-
-impl<'a> ReplaySource<'a> for &'a Trace {
-    type Error = Infallible;
-    type Events = TraceEvents<'a>;
-
-    fn phase_names(&self) -> Vec<String> {
-        Trace::phase_names(self).to_vec()
-    }
-
-    fn into_events(self) -> TraceEvents<'a> {
-        TraceEvents(self.iter())
-    }
-}
-
-/// A fallible stream of owned events with an up-front phase-name table.
-pub struct EventStream<I> {
-    phase_names: Vec<String>,
-    events: I,
-}
-
-impl<I> EventStream<I> {
-    /// A source over `events` whose [`Event::Phase`] markers resolve
-    /// through `phase_names`.
-    pub fn new<E>(phase_names: Vec<String>, events: impl IntoIterator<IntoIter = I>) -> Self
-    where
-        I: Iterator<Item = Result<Event, E>>,
-    {
-        EventStream {
-            phase_names,
-            events: events.into_iter(),
-        }
-    }
-}
-
-/// Owned events of an [`EventStream`].
-pub struct OwnedEvents<I>(I);
-
-impl<E, I: Iterator<Item = Result<Event, E>>> Iterator for OwnedEvents<I> {
-    type Item = Result<Cow<'static, Event>, E>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.0.next().map(|r| r.map(Cow::Owned))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.0.size_hint()
-    }
-}
-
-impl<E, I: Iterator<Item = Result<Event, E>>> ReplaySource<'static> for EventStream<I> {
-    type Error = E;
-    type Events = OwnedEvents<I>;
-
-    fn phase_names(&self) -> Vec<String> {
-        self.phase_names.clone()
-    }
-
-    fn into_events(self) -> OwnedEvents<I> {
-        OwnedEvents(self.events)
-    }
-}
-
-/// Anything a *batched* replay can consume: a phase-name table plus a
-/// sequence of decoded event blocks, borrowed one block at a time.
-///
-/// This is the block-granular sibling of [`ReplaySource`]: instead of an
-/// iterator of per-event `Result`s, the source lends whole decoded
-/// batches (backed by a reusable arena in the tracefile reader), so the
-/// replay loop pays its dispatch and error-handling costs once per block
-/// rather than once per event. Implemented for
-/// [`odbgc_tracefile::BatchReader`] (one batch per on-disk block) and
-/// [`TraceBatches`] (an in-memory trace as a single batch).
+/// The source lends whole decoded batches (backed by a reusable arena in
+/// the tracefile reader), so the replay loop pays its dispatch and
+/// error-handling costs once per block rather than once per event.
+/// Implemented for [`odbgc_tracefile::BatchReader`] (one batch per
+/// on-disk block); [`Simulator::replay`] lends an in-memory trace as a
+/// single batch.
 pub trait BatchSource {
     /// The source's error type ([`Infallible`] for in-memory traces).
     type Error;
@@ -206,7 +106,7 @@ pub trait BatchSource {
     fn next_batch(&mut self) -> Result<Option<&[Event]>, Self::Error>;
 }
 
-impl<S: odbgc_tracefile::BlockSource> BatchSource for odbgc_tracefile::BatchReader<S> {
+impl<B: AsRef<[u8]>> BatchSource for odbgc_tracefile::BatchReader<B> {
     type Error = odbgc_tracefile::DecodeError;
 
     fn phase_names(&self) -> Vec<String> {
@@ -220,14 +120,14 @@ impl<S: odbgc_tracefile::BlockSource> BatchSource for odbgc_tracefile::BatchRead
 
 /// An in-memory [`Trace`] as a [`BatchSource`]: one batch covering the
 /// whole trace, borrowed and infallible.
-pub struct TraceBatches<'a> {
+struct TraceBatches<'a> {
     trace: &'a Trace,
     done: bool,
 }
 
 impl<'a> TraceBatches<'a> {
     /// Wraps `trace` as a single-batch source.
-    pub fn new(trace: &'a Trace) -> Self {
+    fn new(trace: &'a Trace) -> Self {
         TraceBatches { trace, done: false }
     }
 }
@@ -303,74 +203,31 @@ impl Simulator {
         Simulator { config }
     }
 
-    /// Replays a [`ReplaySource`] under `policy`, collecting per the
+    /// Replays an in-memory trace under `policy`, collecting per the
     /// configuration.
     ///
-    /// This is the single replay entry point; `&Trace` replays borrowed
-    /// events infallibly (its error type is uninhabited — see
-    /// [`ReplayError::into_sim`]), while an [`EventStream`] replays a
-    /// fallible stream one event at a time. A source error aborts the
-    /// replay with [`ReplayError::Source`] carrying the index of the
-    /// event that failed to materialize.
-    pub fn replay<'a, S: ReplaySource<'a>>(
+    /// The trace is lent to [`Simulator::replay_batched`] as one batch;
+    /// its error type is uninhabited (see [`ReplayError::into_sim`]).
+    pub fn replay(
         &self,
-        source: S,
+        trace: &Trace,
         policy: &mut dyn RatePolicy,
         options: ReplayOptions<'_>,
-    ) -> Result<RunResult, ReplayError<S::Error>> {
-        let phase_names = source.phase_names();
-        let mut telemetry = options.telemetry;
-        let mut engine = StoreEngine::new(self.config.clone(), policy);
-        let mut phases: Vec<(String, u64, u64)> = Vec::new();
-
-        for (i, ev) in source.into_events().enumerate() {
-            let ev = ev.map_err(|cause| ReplayError::Source {
-                event_index: i,
-                cause,
-            })?;
-            let ev: &Event = &ev;
-            if let Event::Phase { id } = ev {
-                let name = phase_names
-                    .get(id.index())
-                    .map(String::as_str)
-                    .unwrap_or("<unknown>")
-                    .to_owned();
-                if let Some(t) = telemetry.as_deref_mut() {
-                    t.enter_phase(&name, engine.counters());
-                }
-                phases.push((name, i as u64, engine.collection_count()));
-            }
-            engine
-                .apply_event(
-                    ev,
-                    telemetry
-                        .as_deref_mut()
-                        .map(|t| t as &mut dyn EngineObserver),
-                )
-                .map_err(|cause| {
-                    ReplayError::Sim(SimError {
-                        event_index: i,
-                        cause,
-                    })
-                })?;
-        }
-
-        if let Some(t) = telemetry {
-            t.finish(engine.counters());
-        }
-        Ok(engine.into_result(phases))
+    ) -> Result<RunResult, ReplayError<Infallible>> {
+        self.replay_batched(TraceBatches::new(trace), policy, options)
     }
 
     /// Replays a [`BatchSource`] under `policy`, applying events in
-    /// decoded-block chunks.
+    /// decoded-block chunks: the one replay loop.
     ///
-    /// Behaviorally identical to [`Simulator::replay`] over the same
-    /// events — per-event triggers, metrics sampling, and observer calls
-    /// all still fire in order, so the [`RunResult`] is byte-identical —
-    /// but the loop hands whole phase-free spans to
-    /// [`StoreEngine::apply_batch`], amortizing per-event dispatch.
-    /// [`Event::Phase`] markers are handled individually between spans,
-    /// exactly as the streaming loop does.
+    /// Per-event triggers, metrics sampling, and observer calls all fire
+    /// in event order, so the [`RunResult`] does not depend on how the
+    /// source cuts its batches; the loop hands whole phase-free spans to
+    /// [`StoreEngine::apply_batch`], amortizing per-event dispatch, and
+    /// handles [`Event::Phase`] markers individually between spans. A
+    /// source error aborts the replay with [`ReplayError::Source`]
+    /// carrying the index of the first event of the batch that failed to
+    /// materialize.
     pub fn replay_batched<B: BatchSource>(
         &self,
         mut source: B,
@@ -382,7 +239,7 @@ impl Simulator {
         let mut engine = StoreEngine::new(self.config.clone(), policy);
         let mut phases: Vec<(String, u64, u64)> = Vec::new();
         // Global index of the first event of the current batch, so
-        // per-event error and phase indices match the streaming loop.
+        // error and phase indices count events across batches.
         let mut base: usize = 0;
 
         loop {
@@ -566,76 +423,51 @@ mod tests {
         assert!(e.to_string().contains("event 0"));
     }
 
-    #[test]
-    fn event_stream_source_matches_borrowed_trace() {
-        let trace = tiny_trace(11);
-        let sim = Simulator::new(SimConfig::tiny());
-        let borrowed = {
-            let mut p = SaioPolicy::with_frac(0.10);
-            replay(&sim, &trace, &mut p)
-        };
-        let streamed = {
-            let mut p = SaioPolicy::with_frac(0.10);
-            sim.replay(
-                EventStream::new(
-                    trace.phase_names().to_vec(),
-                    trace.iter().cloned().map(Ok::<_, Infallible>),
-                ),
-                &mut p,
-                ReplayOptions::new(),
-            )
-            .expect("run")
-        };
-        assert_eq!(borrowed, streamed);
+    /// Replays `trace` off its tracefile encoding: one batch per block.
+    fn replay_blocks(
+        sim: &Simulator,
+        trace: &Trace,
+        policy: &mut dyn RatePolicy,
+        options: ReplayOptions<'_>,
+    ) -> RunResult {
+        let bytes = odbgc_tracefile::encode(trace);
+        let reader = odbgc_tracefile::BatchReader::new(
+            odbgc_tracefile::SliceBlocks::new(bytes.as_slice()).expect("header"),
+        )
+        .expect("phase table");
+        sim.replay_batched(reader, policy, options).expect("run")
     }
 
     #[test]
     fn batched_replay_matches_streaming_replay() {
+        // `replay` lends the whole trace as one batch; the block reader
+        // lends many (arena reused between them). The batch cut must not
+        // change the result.
         let trace = tiny_trace(13);
         let sim = Simulator::new(SimConfig::tiny());
-        let streamed = {
+        let whole = {
             let mut p = SaioPolicy::with_frac(0.10);
             replay(&sim, &trace, &mut p)
         };
-        let batched = {
+        let blocks = {
             let mut p = SaioPolicy::with_frac(0.10);
-            sim.replay_batched(TraceBatches::new(&trace), &mut p, ReplayOptions::new())
-                .map_err(ReplayError::into_sim)
-                .expect("run")
+            replay_blocks(&sim, &trace, &mut p, ReplayOptions::new())
         };
-        assert_eq!(streamed, batched);
-        // And through the real block reader: encode, then replay the
-        // decoded blocks (many batches, arena reused between them).
-        let bytes = odbgc_tracefile::encode(&trace);
-        let block_batched = {
-            let mut p = SaioPolicy::with_frac(0.10);
-            let reader = odbgc_tracefile::BatchReader::new(
-                odbgc_tracefile::SliceBlocks::new(bytes.as_slice()).expect("header"),
-            )
-            .expect("phase table");
-            sim.replay_batched(reader, &mut p, ReplayOptions::new())
-                .expect("run")
-        };
-        assert_eq!(streamed, block_batched);
+        assert_eq!(whole, blocks);
     }
 
     #[test]
     fn batched_replay_telemetry_matches_streaming() {
         let trace = tiny_trace(14);
         let sim = Simulator::new(SimConfig::tiny());
-        let run = |batched: bool| {
+        let run = |by_block: bool| {
             let mut p = SaioPolicy::with_frac(0.10);
             let mut sink = RunTelemetry::new(p.name());
-            let r = if batched {
-                sim.replay_batched(
-                    TraceBatches::new(&trace),
-                    &mut p,
-                    ReplayOptions::new().telemetry(&mut sink),
-                )
-                .map_err(ReplayError::into_sim)
-                .expect("run")
+            let options = ReplayOptions::new().telemetry(&mut sink);
+            let r = if by_block {
+                replay_blocks(&sim, &trace, &mut p, options)
             } else {
-                sim.replay(&trace, &mut p, ReplayOptions::new().telemetry(&mut sink))
+                sim.replay(&trace, &mut p, options)
                     .map_err(ReplayError::into_sim)
                     .expect("run")
             };

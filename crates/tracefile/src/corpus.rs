@@ -13,8 +13,9 @@
 //!   1d0e5c43a9b1f702.workload      # the workload string, for inspection
 //! ```
 //!
-//! Fills are atomic: a new trace is written to a process-unique temp
-//! file in the same directory and `rename(2)`d into place, so concurrent
+//! Fills are atomic: a new trace is written through
+//! [`replace_file`](crate::replace_file) (a process-unique temp file in
+//! the same directory, `rename(2)`d into place), so concurrent
 //! sweep processes never observe a torn file — the worst case is two
 //! processes generating the same (deterministic) trace and the second
 //! rename being a no-op overwrite. A corpus file that fails to decode
@@ -122,7 +123,6 @@ pub struct TraceCorpus {
     misses: AtomicU64,
     generated: AtomicU64,
     load_nanos: AtomicU64,
-    tmp_counter: AtomicU64,
 }
 
 impl TraceCorpus {
@@ -136,7 +136,6 @@ impl TraceCorpus {
             misses: AtomicU64::new(0),
             generated: AtomicU64::new(0),
             load_nanos: AtomicU64::new(0),
-            tmp_counter: AtomicU64::new(0),
         })
     }
 
@@ -182,8 +181,8 @@ impl TraceCorpus {
     /// every hit.
     ///
     /// Loads go through the zero-copy batched reader over a read-only
-    /// memory map (atomic-rename fills mean corpus files are never
-    /// truncated in place, so mapping is safe; see [`crate::mmap`]).
+    /// memory map (fills replace corpus files by rename and never
+    /// truncate them in place, so mapping is safe; see [`crate::mmap`]).
     pub fn load_at(&self, path: &Path) -> Option<Trace> {
         let started = Instant::now();
         match crate::open_batches(path).and_then(crate::BatchReader::read_to_trace) {
@@ -209,25 +208,9 @@ impl TraceCorpus {
     /// small workload-description sidecar for human inspection.
     pub fn store(&self, key: &CorpusKey, trace: &Trace) -> std::io::Result<PathBuf> {
         let path = self.path_of(key);
-        let tmp = self.dir.join(format!(
-            ".tmp-{}-{}-{}",
-            std::process::id(),
-            self.tmp_counter.fetch_add(1, Ordering::Relaxed),
-            key.file_name()
-        ));
-        let result = (|| {
-            let file = std::fs::File::create(&tmp)?;
-            let writer = crate::writer::write_trace(std::io::BufWriter::new(file), trace)?;
-            writer
-                .into_inner()
-                .map_err(|e| e.into_error())?
-                .sync_all()?;
-            std::fs::rename(&tmp, &path)
-        })();
-        if result.is_err() {
-            std::fs::remove_file(&tmp).ok();
-        }
-        result?;
+        crate::replace_file(&path, |out| {
+            crate::writer::write_trace(out, trace).map(drop)
+        })?;
         // Best-effort sidecar: losing it loses nothing but browsability.
         let sidecar = self.dir.join(key.sidecar_name());
         if !sidecar.exists() {
@@ -261,7 +244,7 @@ impl TraceCorpus {
     /// Like [`TraceCorpus::load_or_generate`], with the key's path
     /// already resolved (it must equal [`TraceCorpus::path_of`]`(key)`).
     /// The hit path does no key hashing at all; the key is only needed
-    /// again on the cold fill path, for the sidecar and temp naming.
+    /// again on the cold fill path, for the sidecar.
     pub fn load_or_generate_at(
         &self,
         path: &Path,

@@ -1,5 +1,5 @@
-//! On-disk binary trace corpus: compact tracefile format, streaming
-//! replay, and a persistent cross-process trace cache.
+//! On-disk binary trace corpus: compact tracefile format, zero-copy
+//! batched reading, and a persistent cross-process trace cache.
 //!
 //! The text codec in `odbgc-trace` is the diffable, human-readable
 //! interchange form; this crate is the *storage* form. A tracefile is a
@@ -9,10 +9,12 @@
 //! * **Compactness.** Events are varint/delta-encoded against the
 //!   previously seen object id, so the dense, locality-heavy id streams
 //!   produced by OO7 generation shrink to a fraction of their text size.
-//! * **Streaming.** [`TraceWriter`] encodes events as they arrive and
-//!   [`TraceReader`] decodes them block by block, so neither side ever
-//!   holds a whole trace in memory — peak memory is one block (~32 KiB),
-//!   not O(trace).
+//! * **Block-at-a-time.** [`TraceWriter`] encodes events as they arrive,
+//!   so writing never holds a whole trace in memory. [`open_batches`]
+//!   maps a file (or reads it whole where mapping is unavailable) and a
+//!   [`BatchReader`] decodes it one block at a time into a reused arena,
+//!   so decoded events never take more than one block (~32 KiB of
+//!   encoding) of heap, not O(trace).
 //! * **Verifiability.** Every block is length-prefixed and CRC32-
 //!   checksummed; truncation, bit flips, foreign files, and
 //!   future-version files are all detected and reported as distinct
@@ -41,10 +43,12 @@
 //! state resets at each block boundary so blocks decode independently.
 //! See [`writer`] for the per-event layouts.
 //!
-//! On top of the format, [`TraceCorpus`] is a directory of tracefiles
-//! keyed by (workload, seed) with atomic temp-file + rename fills: a
-//! persistent, cross-process second cache tier behind the in-memory
-//! per-plan trace cache.
+//! Every tracefile this workspace writes goes through [`replace_file`]:
+//! a temp file in the target's directory, `rename(2)`d into place, so a
+//! tracefile is never truncated in place while a reader (or a mapping)
+//! holds it. On top of the format, [`TraceCorpus`] is a directory of
+//! tracefiles keyed by (workload, seed): a persistent, cross-process
+//! second cache tier behind the in-memory per-plan trace cache.
 
 #![warn(missing_docs)]
 
@@ -53,18 +57,19 @@ pub mod corpus;
 pub mod crc32;
 pub mod error;
 pub mod mmap;
-pub mod reader;
 pub mod varint;
 pub mod writer;
 
-pub use batch::{BatchReader, BlockSource, ReadBlocks, SliceBlocks};
+pub use batch::{BatchReader, SliceBlocks};
 pub use corpus::{CorpusKey, CorpusStats, TraceCorpus};
 pub use error::DecodeError;
 pub use mmap::TraceData;
-pub use reader::{read_trace, TraceReader};
 pub use writer::{write_trace, TraceWriter};
 
+use std::fs::File;
+use std::io::{self, BufWriter};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use odbgc_trace::Trace;
 
@@ -111,7 +116,7 @@ pub fn decode(bytes: &[u8]) -> Result<Trace, DecodeError> {
 
 /// A batched reader over a whole-file backing ([`TraceData`]: mmap when
 /// possible, owned bytes otherwise).
-pub type FileBatches = BatchReader<SliceBlocks<TraceData>>;
+pub type FileBatches = BatchReader<TraceData>;
 
 /// Opens a tracefile on disk for zero-copy batched reading, preferring
 /// a read-only memory map and falling back to reading the whole file
@@ -121,17 +126,48 @@ pub fn open_batches(path: &Path) -> Result<FileBatches, DecodeError> {
     BatchReader::new(SliceBlocks::new(data)?)
 }
 
-/// Like [`open_batches`], but never maps: the file is read into an
-/// owned buffer. For callers that cannot rule out in-place writers.
-pub fn open_batches_buffered(path: &Path) -> Result<FileBatches, DecodeError> {
-    let data = TraceData::open_buffered(path)?;
-    BatchReader::new(SliceBlocks::new(data)?)
+/// Writes `path` without ever truncating it in place: `fill` writes a
+/// fresh temp file in the same directory, which is synced and then
+/// `rename(2)`d over `path`.
+///
+/// Readers that still hold the old file — an open handle or a mapping,
+/// possibly of the very input being rewritten — keep seeing the old
+/// bytes, and concurrent writers of the same path never expose a torn
+/// file: the last rename wins. If `fill` or any I/O step fails, the
+/// temp file is removed and `path` is left as it was.
+pub fn replace_file<T, E: From<io::Error>>(
+    path: &Path,
+    fill: impl FnOnce(&mut BufWriter<File>) -> Result<T, E>,
+) -> Result<T, E> {
+    static TEMP_COUNTER: AtomicU64 = AtomicU64::new(0);
+    let name = path.file_name().unwrap_or_default().to_string_lossy();
+    let tmp = path.with_file_name(format!(
+        ".{name}.tmp-{}-{}",
+        std::process::id(),
+        TEMP_COUNTER.fetch_add(1, Ordering::Relaxed)
+    ));
+    let result: Result<T, E> = (|| {
+        let mut out = BufWriter::new(File::create(&tmp)?);
+        let value = fill(&mut out)?;
+        let file = out.into_inner().map_err(io::IntoInnerError::into_error)?;
+        file.sync_all()?;
+        // Closed before the rename: some platforms refuse to rename an
+        // open file.
+        drop(file);
+        std::fs::rename(&tmp, path)?;
+        Ok(value)
+    })();
+    if result.is_err() {
+        std::fs::remove_file(&tmp).ok();
+    }
+    result
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use odbgc_trace::{SlotIdx, TraceBuilder};
+    use odbgc_trace::{ObjectId, SlotIdx, TraceBuilder};
+    use std::io::Write;
 
     fn sample_trace() -> Trace {
         let mut b = TraceBuilder::new();
@@ -159,6 +195,48 @@ mod tests {
     fn round_trip_empty() {
         let t = Trace::default();
         assert_eq!(decode(&encode(&t)).expect("decode"), t);
+    }
+
+    #[test]
+    fn extreme_ids_round_trip() {
+        // Wrapping deltas must survive ids at both ends of u64.
+        let mut b = TraceBuilder::new();
+        b.access(ObjectId::new(u64::MAX));
+        b.access(ObjectId::new(0));
+        b.access(ObjectId::new(u64::MAX / 2));
+        b.slot_write(
+            ObjectId::new(u64::MAX),
+            SlotIdx::new(u32::MAX),
+            Some(ObjectId::new(1)),
+        );
+        let t = b.finish();
+        assert_eq!(decode(&encode(&t)).unwrap(), t);
+    }
+
+    #[test]
+    fn replace_file_swaps_whole_files_and_keeps_the_old_one_on_failure() {
+        let dir = std::env::temp_dir().join(format!("odbgc-replace-file-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("t.otb");
+        std::fs::write(&path, b"old").unwrap();
+        let kept = std::fs::File::open(&path).unwrap();
+
+        replace_file(&path, |w| w.write_all(b"new")).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"new");
+        // A handle opened before the swap still reads the old bytes.
+        let mut old = Vec::new();
+        io::Read::read_to_end(&mut &kept, &mut old).unwrap();
+        assert_eq!(old, b"old");
+
+        let failed = replace_file(&path, |w| {
+            w.write_all(b"partial")?;
+            Err::<(), _>(io::Error::other("fill failed"))
+        });
+        assert!(failed.is_err());
+        assert_eq!(std::fs::read(&path).unwrap(), b"new");
+        let entries = std::fs::read_dir(&dir).unwrap().count();
+        assert_eq!(entries, 1, "the failed fill's temp file is removed");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -20,10 +20,13 @@
 //!   and never re-read, so accesses stay inside the mapped range. The
 //!   one residual hazard of any file mapping — another process
 //!   *shrinking* the file while mapped, which faults on access to the
-//!   vanished tail — cannot arise from this crate's own discipline:
-//!   [`TraceCorpus`](crate::TraceCorpus) fills replace files by atomic
-//!   rename and never truncate in place. Callers sharing tracefiles
-//!   with in-place writers should use the buffered fallback.
+//!   vanished tail — cannot arise from odbgc's own writers: every
+//!   tracefile it writes (`generate`, `trace convert`, corpus fills)
+//!   goes through [`replace_file`](crate::replace_file), which renames
+//!   a finished temp file into place and never truncates in place. That
+//!   includes `trace convert` onto its own input, whose mapping keeps
+//!   the old file alive. Only a foreign program truncating a tracefile
+//!   in place while odbgc maps it can still fault the reader.
 //!
 //! ## When the fallback engages
 //!
@@ -69,8 +72,8 @@ impl TraceData {
     }
 
     /// Opens `path` by reading it fully into an owned buffer, never
-    /// mapping. Useful when the file may be modified in place.
-    pub fn open_buffered(path: &Path) -> io::Result<TraceData> {
+    /// mapping: the fallback behind [`TraceData::open`].
+    fn open_buffered(path: &Path) -> io::Result<TraceData> {
         Ok(TraceData {
             backing: Backing::Owned(std::fs::read(path)?),
         })

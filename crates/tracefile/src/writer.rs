@@ -41,7 +41,7 @@ pub(crate) const TAG_PHASE: u8 = 7;
 ///
 /// ```
 /// use odbgc_trace::TraceBuilder;
-/// use odbgc_tracefile::{TraceReader, TraceWriter};
+/// use odbgc_tracefile::{BatchReader, SliceBlocks, TraceWriter};
 ///
 /// let mut b = TraceBuilder::new();
 /// b.phase("setup");
@@ -56,7 +56,7 @@ pub(crate) const TAG_PHASE: u8 = 7;
 /// }
 /// w.finish().unwrap();
 ///
-/// let r = TraceReader::new(out.as_slice()).unwrap();
+/// let r = BatchReader::new(SliceBlocks::new(out.as_slice()).unwrap()).unwrap();
 /// assert_eq!(r.phase_names(), trace.phase_names());
 /// ```
 pub struct TraceWriter<W: Write> {
@@ -74,8 +74,8 @@ pub struct TraceWriter<W: Write> {
 impl<W: Write> TraceWriter<W> {
     /// Starts a tracefile on `out`: writes the header and the phase
     /// table. Phase names must be known up front; they are part of the
-    /// header so a streaming reader can resolve [`Event::Phase`] ids
-    /// during replay.
+    /// header so a block-at-a-time reader can resolve [`Event::Phase`]
+    /// ids during replay.
     pub fn new(mut out: W, phase_names: &[String]) -> io::Result<Self> {
         out.write_all(&MAGIC)?;
         out.write_all(&FORMAT_VERSION.to_le_bytes())?;

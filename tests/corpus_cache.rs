@@ -11,9 +11,8 @@
 
 use odbgc_core::PolicySpec;
 use odbgc_oo7::{Oo7App, Oo7Params};
-use odbgc_sim::{EventStream, ExperimentPlan, PlanOutcome, SimConfig, Simulator};
+use odbgc_sim::{ExperimentPlan, PlanOutcome, SimConfig, Simulator};
 use odbgc_trace::codec;
-use odbgc_tracefile::TraceReader;
 
 struct TempDir(std::path::PathBuf);
 impl TempDir {
@@ -179,18 +178,12 @@ fn streaming_replay_needs_no_in_memory_trace() {
         .unwrap();
 
     // …versus streaming replay straight off the file: the `Trace` value
-    // is gone by now, only the reader's current block is resident.
-    let phase_names = trace.phase_names().to_vec();
+    // is gone by now, only the reader's current block is decoded.
     drop(trace);
-    let reader =
-        TraceReader::new(std::io::BufReader::new(std::fs::File::open(&path).unwrap())).unwrap();
+    let reader = odbgc_tracefile::open_batches(&path).unwrap();
     let mut policy = PolicySpec::saio(0.10).build();
     let streamed = Simulator::new(SimConfig::tiny())
-        .replay(
-            EventStream::new(phase_names.clone(), reader),
-            policy.as_mut(),
-            odbgc_sim::ReplayOptions::new(),
-        )
+        .replay_batched(reader, policy.as_mut(), odbgc_sim::ReplayOptions::new())
         .unwrap();
 
     assert_eq!(in_memory, streamed, "streaming must not change results");
@@ -202,15 +195,15 @@ fn streaming_replay_surfaces_source_errors_with_position() {
     let mut bytes = odbgc_tracefile::encode(&trace);
     let cut = bytes.len() * 2 / 3;
     bytes.truncate(cut);
+    let tmp = TempDir::new("truncated");
+    std::fs::create_dir_all(&tmp.0).unwrap();
+    let path = tmp.0.join("t.otb");
+    std::fs::write(&path, &bytes).unwrap();
 
-    let reader = TraceReader::new(bytes.as_slice()).unwrap();
+    let reader = odbgc_tracefile::open_batches(&path).unwrap();
     let mut policy = PolicySpec::saio(0.10).build();
     let err = Simulator::new(SimConfig::tiny())
-        .replay(
-            EventStream::new(trace.phase_names().to_vec(), reader),
-            policy.as_mut(),
-            odbgc_sim::ReplayOptions::new(),
-        )
+        .replay_batched(reader, policy.as_mut(), odbgc_sim::ReplayOptions::new())
         .unwrap_err();
     match err {
         odbgc_sim::ReplayError::Source { event_index, cause } => {

@@ -6,7 +6,8 @@
 //! 1. **Reassembly is split-agnostic** — a frame stream delivered with a
 //!    break at *every* byte boundary (checked exhaustively, then under
 //!    random chunkings) reassembles to exactly what a blocking read of
-//!    the same bytes yields.
+//!    the same bytes yields; hostile bytes fed to the assembler and the
+//!    message decoders fail typed, never panic.
 //! 2. **The connection state machine survives trickled input** — a
 //!    client writing its frames one byte at a time still gets correct
 //!    responses end to end.
@@ -23,7 +24,7 @@ use odbgc_core::FixedRatePolicy;
 use odbgc_engine::{EngineConfig, GcFault, ObjRef, SessionOp, SessionWorkload, WorkloadParams};
 use odbgc_net::{
     frame_into, run_client, run_clients, ClientConfig, ClientError, Conn, ErrorCode,
-    FrameAssembler, NetConfig, NetOutcome, NetServer, Request, Response,
+    FrameAssembler, NetConfig, NetOutcome, NetServer, ProtoError, Request, Response,
 };
 use proptest::prelude::*;
 
@@ -141,6 +142,92 @@ proptest! {
         }
         prop_assert_eq!(seen, bodies);
         prop_assert_eq!(asm.pending(), 0);
+    }
+}
+
+/// Feeds one frame body to both message decoders. A body that decodes
+/// must re-encode to a body that decodes to the same value (values, not
+/// bytes: varints need not be canonical); a body that does not decode
+/// must fail with a field-level `ProtoError`, never an I/O error.
+fn check_decoders(body: &[u8]) -> Result<(), String> {
+    match Request::decode(body) {
+        Ok(req) => prop_assert_eq!(Request::decode(&req.encode()).ok(), Some(req)),
+        Err(e) => prop_assert!(!matches!(e, ProtoError::Io(_)), "request: {e}"),
+    }
+    match Response::decode(body) {
+        Ok(resp) => prop_assert_eq!(Response::decode(&resp.encode()).ok(), Some(resp)),
+        Err(e) => prop_assert!(!matches!(e, ProtoError::Io(_)), "response: {e}"),
+    }
+    Ok(())
+}
+
+/// A hostile frame body: arbitrary bytes, or a real message with bytes
+/// flipped and maybe cut short or extended, so the decoders get past
+/// the tag byte into every field and some mangled bodies still decode.
+fn hostile_body() -> impl Strategy<Value = Vec<u8>> {
+    let mangled = (
+        0..sample_bodies().len(),
+        proptest::collection::vec((any::<usize>(), 1u8..=255), 0..3),
+        proptest::option::of(any::<usize>()),
+        proptest::option::of(proptest::collection::vec(any::<u8>(), 1..8)),
+    )
+        .prop_map(|(pick, flips, cut, tail)| {
+            let mut body = sample_bodies().swap_remove(pick);
+            for (at, mask) in flips {
+                let at = at % body.len();
+                body[at] ^= mask;
+            }
+            if let Some(cut) = cut {
+                body.truncate(cut % (body.len() + 1));
+            }
+            body.extend(tail.unwrap_or_default());
+            body
+        });
+    prop_oneof![proptest::collection::vec(any::<u8>(), 0..256), mangled]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// (1c) Hostile bodies: neither decoder panics, every failure is a
+    /// typed `ProtoError`, and every body that decodes round-trips.
+    #[test]
+    fn hostile_bodies_decode_or_fail_typed(body in hostile_body()) {
+        check_decoders(&body)?;
+    }
+
+    /// (1d) Hostile byte streams into the assembler: it never panics,
+    /// fails only on the frame-level checks (length bound, CRC), and
+    /// every body it yields goes through the decoders unharmed. A
+    /// hostile body wrapped in a valid frame comes back out intact.
+    #[test]
+    fn hostile_streams_reassemble_or_fail_typed(
+        raw in proptest::collection::vec(any::<u8>(), 0..512),
+        body in hostile_body(),
+    ) {
+        let mut asm = FrameAssembler::new();
+        asm.extend(&raw);
+        loop {
+            match asm.next_frame() {
+                Ok(Some(frame)) => check_decoders(frame)?,
+                Ok(None) => break,
+                Err(e) => {
+                    prop_assert!(
+                        matches!(e, ProtoError::TooLarge(_) | ProtoError::Crc { .. }),
+                        "assembler: {e}"
+                    );
+                    break;
+                }
+            }
+        }
+
+        let mut framed = Vec::new();
+        frame_into(&mut framed, &body);
+        let mut asm = FrameAssembler::new();
+        asm.extend(&framed);
+        let frame = asm.next_frame().expect("a valid frame").expect("complete");
+        prop_assert_eq!(frame, body.as_slice());
+        check_decoders(frame)?;
     }
 }
 
@@ -401,7 +488,7 @@ fn stats_report_each_shards_collections_and_failure() {
     let failed = outcome.shards[0].failed.clone();
     assert!(failed
         .as_deref()
-        .is_some_and(|m| m.contains("injected GC worker fault")));
+        .is_some_and(|m| m.contains("injected collection fault")));
     assert_eq!(snap.shards[0].failed, failed);
     assert_eq!(snap.shards[1].failed, None);
     let collections = outcome.shards[1].result.collection_count();

@@ -10,9 +10,9 @@
 //!    a second unacknowledged turn is refused with `Busy` (and counted),
 //!    applied only after an explicit `Ack`; whether a turn is refused
 //!    depends only on the frame sequence, never on timing.
-//! 3. **Failure is typed end to end** — killing one shard's GC worker
-//!    surfaces as a `ShardFailed` protocol error on that shard's
-//!    connection while the other shard's client completes every
+//! 3. **Failure is typed end to end** — a panic in one shard's
+//!    collection surfaces as a `ShardFailed` protocol error on that
+//!    shard's connection while the other shard's client completes every
 //!    operation, and a graceful drain loses zero acknowledged ops.
 
 use std::time::Duration;
@@ -225,9 +225,9 @@ fn window_of_one_rejects_unacked_turns() {
     );
 }
 
-/// (3a) Typed shard failure over the wire: shard 0's GC worker dies on
-/// its first collection; its client gets `ShardFailed` (not a hang, not
-/// a dropped connection), while shard 1's client completes everything.
+/// (3a) Typed shard failure over the wire: shard 0 panics in its first
+/// collection; its client gets `ShardFailed` (not a hang, not a dropped
+/// connection), while shard 1's client completes everything.
 #[test]
 fn gc_worker_death_is_a_typed_wire_error_and_other_shard_drains() {
     let mut config = net_config(2);
@@ -248,7 +248,7 @@ fn gc_worker_death_is_a_typed_wire_error_and_other_shard_drains() {
     match err {
         ClientError::Server { code, message } => {
             assert_eq!(code, ErrorCode::ShardFailed);
-            assert!(message.contains("injected GC worker fault"), "{message}");
+            assert!(message.contains("injected collection fault"), "{message}");
         }
         other => panic!("want a typed server error, got {other}"),
     }
