@@ -1,9 +1,12 @@
 //! Store hot-path micro-benchmarks: event application through the buffer
-//! pool, and end-to-end OO7 trace replay throughput.
+//! pool, end-to-end OO7 trace replay throughput, and the exact-garbage
+//! reconcile against the heap-wide reachability it replaces.
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
+use std::cell::RefCell;
 use std::hint::black_box;
 
+use odbgc_oo7::schema::composite_part_slot;
 use odbgc_oo7::{Oo7App, Oo7Params};
 use odbgc_store::{Event, Store, StoreConfig};
 use odbgc_trace::{ObjectId, SlotIdx, TraceBuilder};
@@ -85,5 +88,79 @@ fn bench_store(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_store);
+/// The exact-garbage reconcile on an OO7 Small store after GenDB. Its
+/// cost should follow the suspects, not the heap: `heap_reach` is the
+/// heap-wide reachability a reconcile used to pay on every collection.
+fn bench_oracle_reconcile(c: &mut Criterion) {
+    let mut db = odbgc_oo7::builder::build(Oo7Params::small(3), 1);
+    let trace = std::mem::take(&mut db.trace).finish();
+    let composites = &db.module.composites;
+    let make_store = || {
+        let mut s = Store::new(StoreConfig::default());
+        for ev in trace.iter() {
+            s.apply(ev).expect("GenDB replays");
+        }
+        // Drain the suspects GenDB itself buffered.
+        s.recompute_garbage_exact();
+        s
+    };
+
+    let mut group = c.benchmark_group("oracle_reconcile");
+    group.bench_function("few_suspects", |b| {
+        // Rewriting a part slot with its own value leaves the part a
+        // suspect; the reconcile walks that composite's part graph.
+        let mut store = make_store();
+        let comp = &composites[0];
+        let slot = SlotIdx::new(composite_part_slot(0));
+        let part = comp.parts[0].as_ref().expect("GenDB fills every slot").id;
+        b.iter(|| {
+            store
+                .apply(&Event::SlotWrite {
+                    src: comp.id,
+                    slot,
+                    new: Some(part),
+                })
+                .expect("relink");
+            black_box(store.recompute_garbage_exact())
+        })
+    });
+    group.bench_function("dead_composite", |b| {
+        // Clearing a composite's parts set leaves its atomic parts and
+        // connections a dead cycle. Each iteration cuts the next
+        // composite; a fresh store is built (untimed) when they run out.
+        let pool = RefCell::new((make_store(), 0usize));
+        b.iter_batched(
+            || {
+                let mut pool = pool.borrow_mut();
+                if pool.1 == composites.len() {
+                    *pool = (make_store(), 0);
+                }
+                pool.1 += 1;
+                pool.1 - 1
+            },
+            |ci| {
+                let store = &mut pool.borrow_mut().0;
+                let comp = &composites[ci];
+                for pi in 0..comp.parts.len() as u32 {
+                    store
+                        .apply(&Event::SlotWrite {
+                            src: comp.id,
+                            slot: SlotIdx::new(composite_part_slot(pi)),
+                            new: None,
+                        })
+                        .expect("cut");
+                }
+                store.recompute_garbage_exact()
+            },
+            BatchSize::SmallInput,
+        )
+    });
+    group.bench_function("heap_reach", |b| {
+        let store = make_store();
+        b.iter(|| black_box(store.compute_reachable().len()))
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_store, bench_oracle_reconcile);
 criterion_main!(benches);

@@ -22,10 +22,13 @@ pub struct EngineConfig {
     /// Collections excluded from measured means (paper: 10 for the
     /// time-varying figures).
     pub preamble_collections: u64,
-    /// Reconcile the exact garbage tracker with full reachability at every
-    /// collection. The OO7 workload never kills cycles, so this is a
-    /// no-op there, but it guarantees the oracle estimator is exact on
-    /// any workload.
+    /// Reconcile the exact garbage tracker with reachability before every
+    /// collection ([`odbgc_store::Store::recompute_garbage_exact`]), so
+    /// the oracle estimator is exact on any workload. The reconcile is
+    /// trial deletion over the live closure of the objects whose counts
+    /// dropped without reaching zero since the last one; the OO7
+    /// workload never kills a cycle, so there it only confirms that
+    /// closure is still held.
     pub exact_oracle_recompute: bool,
     /// Run the store's deep structural audit (`assert_consistent`) and
     /// garbage-exactness check after every collection. Expensive; for

@@ -96,6 +96,61 @@ fn decision_records_expose_estimator_error_against_exact_garbage() {
     }
 }
 
+#[test]
+fn oracle_shadow_stays_exact_when_the_workload_kills_cycles() {
+    use odbgc_sim::store::{Store, StoreConfig};
+    use odbgc_sim::trace::synthetic::{churn, ChurnConfig};
+
+    let trace = churn(
+        &ChurnConfig {
+            steps: 4_000,
+            weights: (4, 4, 3, 1),
+            ..ChurnConfig::default()
+        },
+        21,
+    );
+    // The trace strands cycles the refcount cascade cannot see.
+    let mut store = Store::new(StoreConfig::tiny());
+    for ev in trace.iter() {
+        store.apply(ev).expect("churn replays");
+    }
+    let cascade_only = store.garbage_bytes();
+    assert!(store.recompute_garbage_exact() > cascade_only);
+
+    // Deep checks assert exactness against full reachability after every
+    // collection; they must not change the run.
+    let run = |deep_checks: bool| {
+        let mut cfg = SimConfig::tiny();
+        cfg.shadow_estimator = Some(EstimatorKind::Oracle);
+        cfg.deep_checks = deep_checks;
+        let mut policy = SaioPolicy::with_frac(0.10);
+        let mut telemetry = RunTelemetry::new(policy.name());
+        let result = Simulator::new(cfg)
+            .replay(
+                &trace,
+                &mut policy,
+                ReplayOptions::new().telemetry(&mut telemetry),
+            )
+            .expect("run");
+        (result, telemetry)
+    };
+    let (plain, plain_telemetry) = run(false);
+    let (deep, deep_telemetry) = run(true);
+    assert!(plain.collection_count() > 10);
+    assert_eq!(
+        plain_telemetry.decisions.len(),
+        deep_telemetry.decisions.len()
+    );
+    for d in plain_telemetry
+        .decisions
+        .iter()
+        .chain(&deep_telemetry.decisions)
+    {
+        assert_eq!(d.estimate_error(), Some(0.0));
+    }
+    assert_eq!(plain, deep);
+}
+
 fn tiny_plan() -> ExperimentPlan {
     ExperimentPlan::new(Oo7Params::tiny(), &[1, 2, 3], SimConfig::tiny()).cells([
         (5.0, PolicySpec::saio(0.05)),

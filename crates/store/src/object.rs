@@ -72,6 +72,12 @@ pub struct ObjectInfo {
     /// partition; it is dropped — replaced by the incoming reference —
     /// the first time the object is referenced.
     pub birth_pin: bool,
+    /// Is the object in the store's suspect buffer? Set when a decrement
+    /// leaves a live object's count above zero, or a slot write takes its
+    /// birth pin over — the only ways a cycle can become unreachable —
+    /// and cleared when the exact-garbage reconcile drains the buffer.
+    /// The flag keeps each object in the buffer at most once.
+    pub suspect: bool,
     /// The visit epoch this object was last marked in (see
     /// [`Store::begin_visit_epoch`](crate::Store::begin_visit_epoch)).
     /// `0` means "never marked": epochs handed out by the store start
@@ -101,6 +107,7 @@ impl ObjectInfo {
             state: ObjState::Live,
             is_root: false,
             birth_pin: true,
+            suspect: false,
             mark_epoch: 0,
         }
     }
@@ -144,8 +151,15 @@ mod tests {
         assert!(o.is_present());
         assert!(!o.is_root);
         assert!(o.birth_pin);
+        assert!(!o.suspect);
         assert_eq!(o.refcount, 1);
         assert_eq!(o.slot_range(), 0..2);
+    }
+
+    #[test]
+    fn record_stays_32_bytes() {
+        // The suspect flag rides in what was padding.
+        assert_eq!(std::mem::size_of::<ObjectInfo>(), 32);
     }
 
     #[test]

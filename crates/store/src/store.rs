@@ -122,8 +122,15 @@ pub struct Store {
     /// Reusable stack for the refcount cascade and reachability marking.
     /// Always left empty between uses.
     cascade_scratch: Vec<ObjectId>,
-    /// Reusable buffer for the doomed-object list of a collection.
+    /// Reusable buffer for the doomed-object list of a collection and the
+    /// suspect closure of a reconcile.
     doomed_scratch: Vec<ObjectId>,
+    /// Objects whose count a decrement left above zero, and newborns whose
+    /// birth pin a slot write took over, since the last reconcile
+    /// ([`Store::recompute_garbage_exact`]): the only places a dead cycle
+    /// can hang from. Each entry has [`ObjectInfo::suspect`] set, so an
+    /// object is buffered at most once.
+    suspects: Vec<ObjectId>,
     /// First-fit allocation cursor: every partition below this index has
     /// zero free bytes. See [`alloc::place`].
     alloc_cursor: usize,
@@ -171,6 +178,7 @@ impl Store {
             mark_epoch: 0,
             cascade_scratch: Vec::new(),
             doomed_scratch: Vec::new(),
+            suspects: Vec::new(),
             alloc_cursor: 0,
             free_cache: Vec::new(),
             page_shift,
@@ -225,14 +233,21 @@ impl Store {
     /// and epochs restart at 1, so a stale mark can never alias a fresh
     /// epoch.
     pub fn begin_visit_epoch(&mut self) -> u32 {
-        if self.mark_epoch == u32::MAX {
+        self.begin_visit_epochs(1)
+    }
+
+    /// Starts `n` consecutive visit epochs and returns the first. Taking
+    /// them together means the wraparound reset can only happen before
+    /// the first, never between two epochs one traversal relies on.
+    fn begin_visit_epochs(&mut self, n: u32) -> u32 {
+        if self.mark_epoch > u32::MAX - n {
             for info in self.objects.iter_mut().flatten() {
                 info.mark_epoch = 0;
             }
             self.mark_epoch = 0;
         }
-        self.mark_epoch += 1;
-        self.mark_epoch
+        self.mark_epoch += n;
+        self.mark_epoch - (n - 1)
     }
 
     /// Marks `id` visited in `epoch`. Returns `true` iff the object
@@ -323,12 +338,14 @@ impl Store {
     fn incr_ref(&mut self, id: ObjectId) -> PartitionId {
         self.incr_ref_checked(id)
             .expect("refcount target must be validated by the caller")
+            .0
     }
 
     /// [`Store::incr_ref`] with the touchability check folded into its
     /// lookup: the slot-write path would otherwise pay two object-table
-    /// lookups (validate, then count) for every non-null store.
-    fn incr_ref_checked(&mut self, id: ObjectId) -> Result<PartitionId, StoreError> {
+    /// lookups (validate, then count) for every non-null store. Also
+    /// returns whether the reference replaced the birth pin.
+    fn incr_ref_checked(&mut self, id: ObjectId) -> Result<(PartitionId, bool), StoreError> {
         let info = match self.objects.get_mut(id.raw() as usize) {
             Some(Some(info)) => info,
             _ => return Err(StoreError::UnknownObject(id)),
@@ -339,7 +356,8 @@ impl Store {
             ObjState::Destroyed => return Err(StoreError::UseAfterFree(id)),
         }
         let p = info.partition;
-        if info.birth_pin {
+        let unpinned = info.birth_pin;
+        if unpinned {
             info.birth_pin = false;
             let pins = &mut self.partitions[p.index()].pinned_residents;
             let pos = pins
@@ -350,12 +368,14 @@ impl Store {
         } else {
             info.refcount += 1;
         }
-        Ok(p)
+        Ok((p, unpinned))
     }
 
     /// Decrements `id`'s reference count; if it reaches zero while live,
     /// the object becomes garbage and its own references die (cascade).
-    /// Returns bytes of garbage created by the cascade.
+    /// A live object whose count stays above zero may have just lost its
+    /// last path from the roots inside a cycle, so it joins the suspect
+    /// buffer. Returns bytes of garbage created by the cascade.
     ///
     /// The cascade runs on the store-owned scratch stack (no allocation)
     /// and does the decrement, the garbage transition, and the child
@@ -386,7 +406,11 @@ impl Store {
             }
             debug_assert!(info.refcount > 0, "refcount underflow on {cur}");
             info.refcount -= 1;
-            if info.refcount == 0 && info.state == ObjState::Live {
+            if info.refcount > 0 {
+                if !info.suspect && info.is_live() {
+                    self.push_suspect(cur);
+                }
+            } else if info.state == ObjState::Live {
                 info.state = ObjState::Garbage;
                 let (size, partition) = (u64::from(info.size), info.partition);
                 let range = info.slot_range();
@@ -402,6 +426,35 @@ impl Store {
         }
         self.cascade_scratch = stack;
         (id_partition.expect("loop ran at least once"), created)
+    }
+
+    /// Buffers a live object that is not yet a suspect.
+    fn push_suspect(&mut self, id: ObjectId) {
+        let info = self.objects[id.raw() as usize]
+            .as_mut()
+            .expect("suspect exists");
+        debug_assert!(info.is_live() && !info.suspect);
+        info.suspect = true;
+        self.suspects.push(id);
+        self.bound_suspects();
+    }
+
+    /// Keeps the suspect buffer no larger than the heap. Destroyed
+    /// suspects stay buffered until a reconcile drains them; when nothing
+    /// reconciles, they are dropped once the buffer outgrows the present
+    /// objects. The reconcile skips every entry that is not live, so
+    /// dropping those changes nothing. Entries are distinct, so after the
+    /// drop the buffer holds at most the live objects.
+    fn bound_suspects(&mut self) {
+        if self.suspects.len() as u64 <= self.present_objects {
+            return;
+        }
+        let objects = &mut self.objects;
+        self.suspects.retain(|&id| {
+            let info = objects[id.raw() as usize].as_mut().expect("suspect exists");
+            info.suspect = info.is_live();
+            info.suspect
+        });
     }
 
     /// Marks a live object as garbage, updating ledgers. Does *not* touch
@@ -561,18 +614,26 @@ impl Store {
         // not two), and installing the new reference before the old one
         // is released means a self-assignment never sees a transient
         // zero refcount. Nothing has been mutated yet if this errors.
-        let new_partition = match new {
+        let (new_partition, unpinned) = match new {
             Some(n) => {
-                let np = self.incr_ref_checked(n)?;
+                let (np, unpinned) = self.incr_ref_checked(n)?;
                 self.remsets.insert(src, slot, src_partition, n, np);
-                Some(np)
+                (Some(np), unpinned)
             }
-            None => None,
+            None => (None, false),
         };
 
         // The slot write hits the object header page.
         self.touch_extent(src_partition, src_offset, 1, true, IoClass::App);
         self.slot_arena[arena_idx] = PackedSlot::pack(new);
+        if let (true, Some(n)) = (unpinned, new) {
+            // `n`'s birth pin just passed to `src`. If `src` was reachable
+            // only through `n` (`n` was created pointing at it, or `src`
+            // is `n`), both just died with no count decremented: the pin
+            // was a reference, and dropping it is a decrement that
+            // stopped short of zero.
+            self.push_suspect(n);
+        }
 
         let mut outcome = ApplyOutcome::default();
         match self.config.overwrite_semantics {
@@ -789,9 +850,9 @@ impl Store {
     /// Computes the set of objects reachable from the root set (including
     /// birth-pinned newborns, which are held by application registers).
     ///
-    /// `&self` diagnostic/test entry point backed by a dense bitmap (no
-    /// hashing); the mutating per-collection path uses the epoch-marking
-    /// [`Store::recompute_garbage_exact`] instead.
+    /// `&self` checker behind [`Store::assert_garbage_exact`], backed by a
+    /// dense bitmap (no hashing). O(heap): the per-collection oracle uses
+    /// the suspect-scoped [`Store::recompute_garbage_exact`] instead.
     pub fn compute_reachable(&self) -> ReachSet {
         let mut bits = vec![false; self.objects.len()];
         let mut len = 0usize;
@@ -820,85 +881,152 @@ impl Store {
         ReachSet { bits, len }
     }
 
-    /// Marks every reachable object with a fresh visit epoch and returns
-    /// that epoch. Allocation-free: traversal runs on the store-owned
-    /// scratch stack, and roots come from the root set plus the
-    /// per-partition pinned-resident indexes.
-    fn mark_reachable(&mut self) -> u32 {
-        let epoch = self.begin_visit_epoch();
+    /// Reconciles the incremental tracker with reachability, catching
+    /// cyclic structures that died without any reference count reaching
+    /// zero. Returns `ActGarb` afterwards.
+    ///
+    /// Synchronous trial deletion scoped to the suspect buffer (Bacon &
+    /// Rajan, "Concurrent Cycle Collection in Reference Counted Systems",
+    /// ECOOP 2001). After a reconcile every live object is reachable.
+    /// From then on a live object can lose reachability only through a
+    /// decrement that leaves some count above zero (a decrement to zero
+    /// runs the cascade instead), or through a slot write that takes a
+    /// newborn's birth pin over (the pin was a reference too). Both buffer
+    /// the object they touch, so every live object that has died since is
+    /// reachable from a buffered suspect. The reconcile therefore costs
+    /// the live closure of the suspects, not the heap, and O(1) when there
+    /// are none:
+    ///
+    /// 1. S = the live objects reachable from the live suspects;
+    /// 2. remove every reference between members of S from their counts;
+    /// 3. members still counted are held from outside S (a root pin, a
+    ///    birth pin or a live holder outside S): mark what they reach;
+    /// 4. put back the references held members make;
+    /// 5. the unmarked members are dead: they become garbage, in id order,
+    ///    and the references they make stay removed.
+    pub fn recompute_garbage_exact(&mut self) -> u64 {
+        if self.suspects.is_empty() {
+            return self.garbage.actual();
+        }
+        let in_s = self.begin_visit_epochs(2);
+        let held = in_s + 1;
+
+        // 1. Drain the buffer into S and close S over live references;
+        //    `members` is both the work list and the member list.
+        let mut members = std::mem::take(&mut self.doomed_scratch);
+        members.clear();
+        for &id in &self.suspects {
+            let info = self.objects[id.raw() as usize]
+                .as_mut()
+                .expect("suspect exists");
+            info.suspect = false;
+            if info.is_live() && info.mark_epoch != in_s {
+                info.mark_epoch = in_s;
+                members.push(id);
+            }
+        }
+        self.suspects.clear();
+        let mut next = 0;
+        while next < members.len() {
+            let range = self.slot_range_of(members[next]);
+            next += 1;
+            for t in self.slot_arena[range].iter().filter_map(|s| s.get()) {
+                let info = self.objects[t.raw() as usize]
+                    .as_mut()
+                    .expect("slot target exists");
+                if info.is_live() && info.mark_epoch != in_s {
+                    info.mark_epoch = in_s;
+                    members.push(t);
+                }
+            }
+        }
+
+        // 2. Trial deletion of the references inside S.
+        for &m in &members {
+            let range = self.slot_range_of(m);
+            for t in self.slot_arena[range].iter().filter_map(|s| s.get()) {
+                let info = self.objects[t.raw() as usize]
+                    .as_mut()
+                    .expect("slot target exists");
+                if info.mark_epoch == in_s {
+                    debug_assert!(info.refcount > 0, "trial deletion underflow on {t}");
+                    info.refcount -= 1;
+                }
+            }
+        }
+
+        // 3. Mark, within S, everything the externally held members reach.
         let mut stack = std::mem::take(&mut self.cascade_scratch);
         debug_assert!(stack.is_empty(), "cascade scratch left dirty");
-        stack.extend(self.roots.iter().copied());
-        for part in &self.partitions {
-            stack.extend_from_slice(&part.pinned_residents);
+        for &m in &members {
+            let info = self.objects[m.raw() as usize]
+                .as_mut()
+                .expect("member exists");
+            if info.refcount > 0 {
+                info.mark_epoch = held;
+                stack.push(m);
+            }
         }
         while let Some(cur) = stack.pop() {
-            match self
-                .objects
-                .get_mut(cur.raw() as usize)
-                .and_then(Option::as_mut)
-            {
-                Some(info) if info.mark_epoch != epoch => {
-                    info.mark_epoch = epoch;
-                    debug_assert!(info.is_present());
-                    let range = info.slot_range();
-                    stack.extend(self.slot_arena[range].iter().filter_map(|s| s.get()));
+            let range = self.slot_range_of(cur);
+            for t in self.slot_arena[range].iter().filter_map(|s| s.get()) {
+                let info = self.objects[t.raw() as usize]
+                    .as_mut()
+                    .expect("slot target exists");
+                if info.mark_epoch == in_s {
+                    info.mark_epoch = held;
+                    stack.push(t);
                 }
-                _ => {}
             }
         }
         self.cascade_scratch = stack;
-        epoch
-    }
 
-    /// Reconciles the incremental tracker with full reachability, catching
-    /// cyclic structures that died without any reference count reaching
-    /// zero. Returns `ActGarb` afterwards. Exact but O(objects + edges);
-    /// intended to run at collection frequency (the oracle estimator) and
-    /// in tests.
-    pub fn recompute_garbage_exact(&mut self) -> u64 {
-        let epoch = self.mark_reachable();
-        let mut found_cycles = false;
-        for raw in 0..self.objects.len() {
-            let Some(info) = self.objects[raw].as_ref() else {
+        // 4. Restore the references held members make. Everything a held
+        //    member references inside S is held too.
+        for &m in &members {
+            let info = self.objects[m.raw() as usize]
+                .as_ref()
+                .expect("member exists");
+            if info.mark_epoch != held {
                 continue;
-            };
-            if info.is_live() && info.mark_epoch != epoch {
-                self.transition_to_garbage(ObjectId::new(raw as u64));
-                found_cycles = true;
+            }
+            let range = info.slot_range();
+            for t in self.slot_arena[range].iter().filter_map(|s| s.get()) {
+                let info = self.objects[t.raw() as usize]
+                    .as_mut()
+                    .expect("slot target exists");
+                if info.mark_epoch == held {
+                    info.refcount += 1;
+                }
             }
         }
-        if found_cycles {
-            self.rebuild_refcounts();
+
+        // 5. What is left unmarked is dead. Step 2 removed the references
+        //    it makes and step 4 left them out: that is the decrement its
+        //    death owes each target. No held target drops to zero, since
+        //    it keeps its outside holder or a held member's reference.
+        let objects = &self.objects;
+        members.retain(|m| {
+            objects[m.raw() as usize]
+                .as_ref()
+                .is_some_and(|info| info.mark_epoch != held)
+        });
+        members.sort_unstable();
+        for &w in &members {
+            debug_assert_eq!(self.refcount_of(w), Ok(0), "dead {w} still counted");
+            self.transition_to_garbage(w);
         }
+        members.clear();
+        self.doomed_scratch = members;
         self.garbage.actual()
     }
 
-    /// Recomputes every present object's reference count from live holders
-    /// and roots.
-    fn rebuild_refcounts(&mut self) {
-        let n = self.objects.len();
-        let mut counts = vec![0u32; n];
-        for info in self.objects.iter().flatten() {
-            if info.is_live() {
-                for t in self.slot_arena[info.slot_range()]
-                    .iter()
-                    .filter_map(|s| s.get())
-                {
-                    counts[t.raw() as usize] += 1;
-                }
-            }
-        }
-        for r in &self.roots {
-            counts[r.raw() as usize] += 1;
-        }
-        for (i, slot) in self.objects.iter_mut().enumerate() {
-            if let Some(info) = slot {
-                if info.is_present() {
-                    info.refcount = counts[i] + u32::from(info.birth_pin);
-                }
-            }
-        }
+    /// The slot range of a present object.
+    fn slot_range_of(&self, id: ObjectId) -> std::ops::Range<usize> {
+        self.objects[id.raw() as usize]
+            .as_ref()
+            .expect("object exists")
+            .slot_range()
     }
 
     /// Deep structural audit: re-derives every piece of redundant state
@@ -913,7 +1041,9 @@ impl Store {
     /// 3. partition live/garbage byte tallies and the residents lists
     ///    match the object table, and object extents do not overlap;
     /// 4. the global live/occupied/garbage ledgers equal the per-partition
-    ///    sums.
+    ///    sums;
+    /// 5. the suspect buffer holds each flagged object exactly once and
+    ///    no more entries than there are present objects.
     pub fn check_consistency(&self) -> Result<(), String> {
         // -- remembered sets ------------------------------------------------
         // Structural audit first: if a (parallel) collection tore a
@@ -1076,6 +1206,35 @@ impl Store {
                     "{pid} pinned index {pinned:?} != derived {expected_pinned:?}"
                 ));
             }
+        }
+
+        // -- suspect buffer --------------------------------------------------
+        // Every entry is flagged and every flagged object is buffered once,
+        // and the buffer never outgrows the heap.
+        let flagged = self.objects.iter().flatten().filter(|i| i.suspect).count();
+        if flagged != self.suspects.len() {
+            return Err(format!(
+                "{flagged} objects flagged suspect, {} buffered",
+                self.suspects.len()
+            ));
+        }
+        for &id in &self.suspects {
+            if !self.info(id).is_ok_and(|i| i.suspect) {
+                return Err(format!("buffered suspect {id} is not flagged"));
+            }
+        }
+        let mut distinct = self.suspects.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        if distinct.len() != self.suspects.len() {
+            return Err("suspect buffer holds duplicates".to_owned());
+        }
+        if self.suspects.len() as u64 > self.present_objects {
+            return Err(format!(
+                "{} buffered suspects exceed {} present objects",
+                self.suspects.len(),
+                self.present_objects
+            ));
         }
 
         // -- visit epochs ----------------------------------------------------
@@ -1315,6 +1474,8 @@ impl Store {
             bytes_reclaimed += size;
             self.present_objects -= 1;
         }
+
+        self.bound_suspects();
 
         // Phase 3: compact survivors in the collector's copy order.
         {
@@ -1665,6 +1826,232 @@ mod tests {
         let exact = s.recompute_garbage_exact();
         assert_eq!(exact, 60);
         s.assert_garbage_exact();
+    }
+
+    /// Reconciles, then checks the tracker against full reachability and
+    /// every refcount against a from-scratch count.
+    fn reconcile(s: &mut Store) -> u64 {
+        let garbage = s.recompute_garbage_exact();
+        assert!(s.suspects.is_empty(), "a reconcile drains the buffer");
+        s.assert_garbage_exact();
+        s.assert_consistent();
+        assert_eq!(garbage, s.garbage_bytes());
+        garbage
+    }
+
+    /// Collects `p` the way the collector does: the survivors are what
+    /// the partition's collection roots reach inside it.
+    fn collect(s: &mut Store, p: PartitionId) {
+        let mut survivors = s.partition_roots(p);
+        let mut seen: BTreeSet<ObjectId> = survivors.iter().copied().collect();
+        let mut next = 0;
+        while next < survivors.len() {
+            let cur = survivors[next];
+            next += 1;
+            for t in s.slots_of(cur).expect("survivor exists").flatten() {
+                if s.partition_of(t) == Ok(p) && seen.insert(t) {
+                    survivors.push(t);
+                }
+            }
+        }
+        s.apply_collection(p, &survivors);
+    }
+
+    #[test]
+    fn dead_cycle_hanging_off_a_live_suspect_dies_alone() {
+        // `shared` becomes a suspect but a second root keeps it live; the
+        // cycle {x, y} references it and dies with the last cut.
+        let mut s = tiny();
+        let mut b = TraceBuilder::new();
+        let anchor = b.create_unlinked(10, 2);
+        b.root_add(anchor);
+        let keeper = b.create_unlinked(10, 1);
+        b.root_add(keeper);
+        let shared = b.create_unlinked(10, 0);
+        b.slot_write(keeper, SlotIdx::new(0), Some(shared));
+        b.slot_write(anchor, SlotIdx::new(1), Some(shared));
+        let x = b.create_unlinked(20, 2);
+        let y = b.create(20, vec![Some(x)]);
+        b.slot_write(x, SlotIdx::new(0), Some(y));
+        b.slot_write(x, SlotIdx::new(1), Some(shared));
+        b.slot_write(anchor, SlotIdx::new(0), Some(x));
+        b.slot_clear(anchor, SlotIdx::new(1)); // shared: 3 -> 2
+        b.slot_clear(anchor, SlotIdx::new(0)); // x: 2 -> 1
+        replay(&mut s, &b.finish());
+        assert_eq!(s.garbage_bytes(), 0);
+        assert_eq!(reconcile(&mut s), 40);
+        assert!(s.is_live(shared));
+        assert!(!s.is_live(x) && !s.is_live(y));
+        // The dead cycle's reference no longer counts; keeper's does.
+        assert_eq!(s.refcount_of(shared), Ok(1));
+    }
+
+    #[test]
+    fn cycle_released_by_a_root_remove_dies() {
+        let mut s = tiny();
+        let mut b = TraceBuilder::new();
+        let a = b.create_unlinked(10, 1);
+        b.root_add(a);
+        let c = b.create(10, vec![Some(a)]);
+        b.slot_write(a, SlotIdx::new(0), Some(c));
+        b.root_remove(a); // a: 2 -> 1, held only by c
+        replay(&mut s, &b.finish());
+        assert_eq!(s.garbage_bytes(), 0);
+        assert_eq!(reconcile(&mut s), 20);
+        assert!(!s.is_live(a) && !s.is_live(c));
+    }
+
+    #[test]
+    fn birth_pinned_newborn_linked_into_a_cycle_dies_with_it() {
+        let mut s = tiny();
+        let mut b = TraceBuilder::new();
+        let anchor = b.create_unlinked(10, 1);
+        b.root_add(anchor);
+        let x = b.create_unlinked(20, 1);
+        b.slot_write(anchor, SlotIdx::new(0), Some(x));
+        let n = b.create(30, vec![Some(x)]); // n is birth-pinned
+        b.slot_write(x, SlotIdx::new(0), Some(n)); // x takes n's pin over
+        replay(&mut s, &b.finish());
+        // Still reachable through the anchor: nothing dies.
+        assert_eq!(reconcile(&mut s), 0);
+        assert!(s.is_live(n));
+        s.apply(&Event::SlotWrite {
+            src: anchor,
+            slot: SlotIdx::new(0),
+            new: None,
+        })
+        .unwrap();
+        assert_eq!(reconcile(&mut s), 50);
+        assert!(!s.is_live(x) && !s.is_live(n));
+    }
+
+    #[test]
+    fn newborn_taking_over_its_only_holder_kills_both_without_a_decrement() {
+        // x is reachable only through the pinned newborn n. Linking x to
+        // n passes n's pin to x, so both die though no count drops.
+        let mut s = tiny();
+        let mut b = TraceBuilder::new();
+        let anchor = b.create_unlinked(10, 1);
+        b.root_add(anchor);
+        let x = b.create_unlinked(20, 1);
+        b.slot_write(anchor, SlotIdx::new(0), Some(x));
+        let n = b.create(30, vec![Some(x)]);
+        b.slot_clear(anchor, SlotIdx::new(0)); // x held by n alone
+        replay(&mut s, &b.finish());
+        assert_eq!(reconcile(&mut s), 0);
+        s.apply(&Event::SlotWrite {
+            src: x,
+            slot: SlotIdx::new(0),
+            new: Some(n),
+        })
+        .unwrap();
+        assert_eq!(s.garbage_bytes(), 0);
+        assert_eq!(reconcile(&mut s), 50);
+    }
+
+    #[test]
+    fn self_loops_die() {
+        let mut s = tiny();
+        let mut b = TraceBuilder::new();
+        // A root that references itself, then leaves the root set.
+        let r = b.create_unlinked(10, 1);
+        b.root_add(r);
+        b.slot_write(r, SlotIdx::new(0), Some(r));
+        b.root_remove(r);
+        // A newborn that takes its own birth pin over.
+        let n = b.create_unlinked(20, 1);
+        b.slot_write(n, SlotIdx::new(0), Some(n));
+        replay(&mut s, &b.finish());
+        assert_eq!(s.garbage_bytes(), 0);
+        assert_eq!(reconcile(&mut s), 30);
+        assert_eq!(s.refcount_of(r), Ok(0));
+        assert_eq!(s.refcount_of(n), Ok(0));
+    }
+
+    #[test]
+    fn cross_partition_cycle_dies() {
+        let mut s = tiny();
+        let mut b = TraceBuilder::new();
+        let anchor = b.create_unlinked(10, 1);
+        b.root_add(anchor);
+        let x = b.create_unlinked(200, 1);
+        let y = b.create(200, vec![Some(x)]); // does not fit beside x
+        b.slot_write(x, SlotIdx::new(0), Some(y));
+        b.slot_write(anchor, SlotIdx::new(0), Some(x));
+        b.slot_clear(anchor, SlotIdx::new(0));
+        replay(&mut s, &b.finish());
+        assert_ne!(s.partition_of(x), s.partition_of(y));
+        assert_eq!(reconcile(&mut s), 400);
+    }
+
+    #[test]
+    fn suspect_relinked_before_the_reconcile_stays_live() {
+        let mut s = tiny();
+        let mut b = TraceBuilder::new();
+        let anchor = b.create_unlinked(10, 2);
+        b.root_add(anchor);
+        let x = b.create_unlinked(20, 1);
+        let y = b.create(20, vec![Some(x)]);
+        b.slot_write(x, SlotIdx::new(0), Some(y));
+        b.slot_write(anchor, SlotIdx::new(0), Some(x));
+        b.slot_clear(anchor, SlotIdx::new(0)); // {x, y} detached
+        b.slot_write(anchor, SlotIdx::new(1), Some(x)); // and re-linked
+        replay(&mut s, &b.finish());
+        assert_eq!(reconcile(&mut s), 0);
+        assert!(s.is_live(x) && s.is_live(y));
+        assert_eq!(s.refcount_of(x), Ok(2));
+        assert_eq!(s.refcount_of(y), Ok(1));
+    }
+
+    #[test]
+    fn second_reconcile_in_a_row_is_a_no_op() {
+        let mut s = tiny();
+        replay(&mut s, &odbgc_trace::synthetic::detached_cycle(30));
+        assert_eq!(reconcile(&mut s), 60);
+        let epoch = s.mark_epoch;
+        assert_eq!(reconcile(&mut s), 60);
+        assert_eq!(s.mark_epoch, epoch, "no suspects, no traversal");
+    }
+
+    #[test]
+    fn reconcile_straddling_the_epoch_wraparound_is_exact() {
+        // A reconcile takes two epochs. From u32::MAX - 1 the second one
+        // wraps, so both must be taken before any mark is written.
+        let mut s = tiny();
+        replay(&mut s, &odbgc_trace::synthetic::detached_cycle(30));
+        s.mark_epoch = u32::MAX - 1;
+        for info in s.objects.iter_mut().flatten() {
+            info.mark_epoch = u32::MAX - 1;
+        }
+        assert_eq!(reconcile(&mut s), 60);
+        assert_eq!(s.mark_epoch, 2);
+    }
+
+    #[test]
+    fn suspect_buffer_never_outgrows_the_heap_without_reconciles() {
+        // Nothing drains the buffer here, and collections destroy
+        // buffered suspects; the buffer must still stay within the
+        // present objects, and still find every dead cycle at the end.
+        let cfg = odbgc_trace::synthetic::ChurnConfig {
+            steps: 20_000,
+            weights: (4, 4, 4, 1),
+            ..odbgc_trace::synthetic::ChurnConfig::default()
+        };
+        let trace = odbgc_trace::synthetic::churn(&cfg, 5);
+        let mut s = tiny();
+        for (i, ev) in trace.iter().enumerate() {
+            s.apply(ev).expect("churn replays");
+            assert!(s.suspects.len() as u64 <= s.present_objects());
+            if i % 1_000 == 999 {
+                for p in 0..s.partition_count() as u32 {
+                    collect(&mut s, PartitionId::new(p));
+                }
+                assert!(s.suspects.len() as u64 <= s.present_objects());
+            }
+        }
+        assert!(!s.suspects.is_empty());
+        s.assert_consistent();
+        reconcile(&mut s);
     }
 
     #[test]

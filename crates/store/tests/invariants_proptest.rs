@@ -70,8 +70,8 @@ proptest! {
         }
         check_invariants(&store);
         store.assert_consistent();
-        // After reconciling with full reachability (churn can kill
-        // cycles the cascade cannot see), the tracker is exact.
+        // After the reconcile (churn can kill cycles the cascade cannot
+        // see), the tracker is exact.
         store.recompute_garbage_exact();
         store.assert_garbage_exact();
         store.assert_consistent();
